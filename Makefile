@@ -1,11 +1,13 @@
 # CI entry points. `make check` is what the repo considers green:
-# vet + build + full tests + the race detector over the packages the
-# parallel experiment engine touches + the chaos soak suite.
+# vet + build + full tests (the byte-identical replays across -jobs
+# live there, in TestReplayAcrossJobs) + the race detector at several
+# CPU counts + the chaos soak suite + the observability smoke + the
+# perf-regression gate.
 GO ?= go
 
-.PHONY: check vet build test race soak bench goldens profile-smoke fuzz-smoke scale-smoke arena-smoke fleet-smoke regress-smoke perf-smoke serve-smoke hotpath-profiles
+.PHONY: check vet build test race soak bench goldens profile-smoke fuzz-smoke gate hotpath-profiles
 
-check: vet build test race soak profile-smoke scale-smoke arena-smoke fleet-smoke regress-smoke perf-smoke serve-smoke
+check: vet build test race soak profile-smoke gate
 
 vet:
 	$(GO) vet ./...
@@ -16,8 +18,16 @@ build:
 test:
 	$(GO) test ./...
 
+# race runs the race detector at several CPU counts over every package
+# with concurrent code paths: drain and close in serve (three times
+# over), fleet conservation, the cluster, the policy conformance oracle,
+# and the bench runner's single-flight cache, cancellation and
+# cross-policy fingerprints. The rest of bench, exec and sim run once.
 race:
 	$(GO) test -race ./internal/bench ./internal/exec ./internal/sim
+	$(GO) test -race -cpu 1,2,4 -count=3 ./internal/serve/...
+	$(GO) test -race -cpu 1,2,4 ./internal/fleet ./internal/cluster ./internal/policy/...
+	$(GO) test -race -cpu 1,2,4 -run '^TestRunner|Fingerprints' ./internal/bench
 
 # soak runs the deterministic fault-injection and dynamic-shape suites
 # twice under the race detector: seeded chaos plans across every
@@ -35,7 +45,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzBFCAllocator' -fuzztime $(FUZZTIME) ./internal/memory
 	$(GO) test -run '^$$' -fuzz 'FuzzConvShapeInference' -fuzztime $(FUZZTIME) ./internal/ops
 
-# bench reproduces the numbers in BENCH_parallel_runner.json.
+# bench reproduces the BenchmarkMatrix record in BENCH_parallel_runner.json
+# (its gated rows are re-measured by capuchin-regress under make gate).
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkMatrix' -benchtime 3x .
 
@@ -46,104 +57,42 @@ goldens:
 	$(GO) test ./internal/bench -run Golden -update
 	$(GO) test ./internal/trace -run ChromeGolden -update
 
-# scale-smoke replays the 2-device scaling experiment through the CLI
-# with the same configuration twice: the multi-device simulator is
-# deterministic, so the tables must be byte-identical. The cluster race
-# suite rides the same target.
-scale-smoke:
-	$(GO) test -race ./internal/cluster
-	$(GO) run ./cmd/capuchin-bench -exp scale -quick -iters 2 -devices 1,2 > /tmp/capuchin-scale-a.txt
-	$(GO) run ./cmd/capuchin-bench -exp scale -quick -iters 2 -devices 1,2 -jobs 1 > /tmp/capuchin-scale-b.txt
-	cmp /tmp/capuchin-scale-a.txt /tmp/capuchin-scale-b.txt
-	rm -f /tmp/capuchin-scale-a.txt /tmp/capuchin-scale-b.txt
-
-# arena-smoke guards the policy arena: the cross-policy conformance suite
-# under the race detector (every registered policy must match the
-# fingerprint oracle), then a small arena tournament replayed through the
-# CLI at two job counts — the tables must be byte-identical.
-arena-smoke:
-	$(GO) test -race ./internal/policy/... -run 'Conform|DTR|Chunk'
-	$(GO) run ./cmd/capuchin-bench -exp arena -quick -iters 2 -mem 4 > /tmp/capuchin-arena-a.txt
-	$(GO) run ./cmd/capuchin-bench -exp arena -quick -iters 2 -mem 4 -jobs 1 > /tmp/capuchin-arena-b.txt
-	cmp /tmp/capuchin-arena-a.txt /tmp/capuchin-arena-b.txt
-	rm -f /tmp/capuchin-arena-a.txt /tmp/capuchin-arena-b.txt
-
-# fleet-smoke guards the multi-tenant fleet simulator: the full fleet
-# suite (including the seeded chaos soak) under the race detector, then
-# the fleet experiment replayed through the CLI at two -jobs values plus
-# a re-run at the same seed — both the table and the JSON artifact must
-# be byte-identical.
-fleet-smoke:
-	$(GO) test -race ./internal/fleet
-	$(GO) run ./cmd/capuchin-bench -exp fleet -quick -fleet-jobs 60 -fleet-devices 4 \
-		-fleet-json /tmp/capuchin-fleet-a.json > /tmp/capuchin-fleet-a.txt
-	$(GO) run ./cmd/capuchin-bench -exp fleet -quick -fleet-jobs 60 -fleet-devices 4 \
-		-fleet-json /tmp/capuchin-fleet-b.json -jobs 1 > /tmp/capuchin-fleet-b.txt
-	cmp /tmp/capuchin-fleet-a.txt /tmp/capuchin-fleet-b.txt
-	cmp /tmp/capuchin-fleet-a.json /tmp/capuchin-fleet-b.json
-	rm -f /tmp/capuchin-fleet-a.txt /tmp/capuchin-fleet-b.txt /tmp/capuchin-fleet-a.json /tmp/capuchin-fleet-b.json
-
-# regress-smoke drives the perf-regression gate both ways: the real
-# checked-in baselines must pass at smoke slack, the degraded fixture
-# must fail (proving the gate actually fires), and the fleet
-# observability exports must be byte-identical across -jobs values.
-regress-smoke:
-	$(GO) run ./cmd/capuchin-regress -slack 3
-	if $(GO) run ./cmd/capuchin-regress -slack 3 -runner '' -hotpath '' -serve '' \
-		-fleet internal/bench/testdata/fleet_regressed_baseline.json >/dev/null; then \
-		echo "regress-smoke: gate passed a degraded baseline"; exit 1; fi
-	$(GO) run ./cmd/capuchin-trace -fleet -fleet-jobs 60 -fleet-devices 4 \
-		-prom /tmp/capuchin-regress-a.prom -events /tmp/capuchin-regress-a.jsonl 2>/dev/null
-	$(GO) run ./cmd/capuchin-trace -fleet -fleet-jobs 60 -fleet-devices 4 -jobs 1 \
-		-prom /tmp/capuchin-regress-b.prom -events /tmp/capuchin-regress-b.jsonl 2>/dev/null
-	cmp /tmp/capuchin-regress-a.prom /tmp/capuchin-regress-b.prom
-	cmp /tmp/capuchin-regress-a.jsonl /tmp/capuchin-regress-b.jsonl
-	rm -f /tmp/capuchin-regress-a.prom /tmp/capuchin-regress-b.prom \
-		/tmp/capuchin-regress-a.jsonl /tmp/capuchin-regress-b.jsonl
-
-# perf-smoke is the allocs/op gate: it runs the pinned BenchmarkHotPath*
-# suite across every hot-path package with -benchmem and fails when any
-# benchmark exceeds its checked-in budget
-# (internal/bench/testdata/alloc_budget.json). Like regress-smoke, the
-# gate is proven both ways on every run: the real budget must pass and
-# the deliberately regressed fixture must fail. Iteration counts are
-# fixed (-benchtime 300x) because the gated metric is allocs/op, which
-# is load-independent — wall-clock on a busy CI host is not.
+# gate runs the perf-regression gate over every checked-in BENCH_*.json
+# baseline. capuchin-regress takes the fresh rows from the baseline's
+# meta.tool: it re-runs the fleet and runner baselines, and gates the
+# hot-path allocs/op budget and the serve selftest against their fresh
+# output. Each degraded fixture must then make the gate exit 1 (rows
+# regressed, not a usage or identity error), which proves the gate
+# fires; the binary is built because `go run` flattens exit codes to 1.
+# Iteration counts are fixed (-benchtime 300x) because allocs/op
+# is load-independent; wall clock on a busy CI host is not.
 HOTPATH_PKGS = . ./internal/exec ./internal/memory ./internal/sim ./internal/fleet ./internal/obs
-perf-smoke:
+GATE_TMP ?= /tmp/capuchin-gate
+REGRESS = $(GATE_TMP)/capuchin-regress
+gate:
+	mkdir -p $(GATE_TMP)
+	$(GO) build -o $(REGRESS) ./cmd/capuchin-regress
 	$(GO) test -run '^$$' -bench BenchmarkHotPath -benchmem -benchtime 300x \
-		$(HOTPATH_PKGS) | tee /tmp/capuchin-hotpath-bench.txt
-	$(GO) run ./cmd/capuchin-allocgate -budget internal/bench/testdata/alloc_budget.json \
-		/tmp/capuchin-hotpath-bench.txt
-	if $(GO) run ./cmd/capuchin-allocgate -budget internal/bench/testdata/alloc_budget_regressed.json \
-		/tmp/capuchin-hotpath-bench.txt >/dev/null; then \
-		echo "perf-smoke: alloc gate passed a degraded budget"; exit 1; fi
-	rm -f /tmp/capuchin-hotpath-bench.txt
+		$(HOTPATH_PKGS) | tee $(GATE_TMP)/hotpath.txt
+	$(GO) run ./cmd/capuchin-serve -selftest -json $(GATE_TMP)/serve.json >/dev/null
+	$(REGRESS) BENCH_fleet.json
+	$(REGRESS) BENCH_parallel_runner.json
+	$(REGRESS) BENCH_hotpath.json $(GATE_TMP)/hotpath.txt
+	$(REGRESS) BENCH_serve.json $(GATE_TMP)/serve.json
+	$(REGRESS) internal/bench/testdata/fleet_regressed_baseline.json >/dev/null; test $$? -eq 1
+	$(REGRESS) internal/bench/testdata/alloc_budget_regressed.json $(GATE_TMP)/hotpath.txt >/dev/null; test $$? -eq 1
+	$(REGRESS) BENCH_serve.json internal/bench/testdata/serve_regressed_baseline.json >/dev/null; test $$? -eq 1
+	rm -rf $(GATE_TMP)
 
 # hotpath-profiles collects pprof CPU and allocation profiles of the
 # flagship hot-path benchmark into hotpath_pprof/. CI runs this when
-# perf-smoke fails and uploads the directory as a workflow artifact, so
+# make check fails and uploads the directory as a workflow artifact, so
 # an alloc regression is diagnosable from the CI run alone.
 hotpath-profiles:
 	mkdir -p hotpath_pprof
 	$(GO) test -run '^$$' -bench 'BenchmarkHotPathIteration$$' -benchmem -benchtime 100x \
 		-cpuprofile hotpath_pprof/cpu.out -memprofile hotpath_pprof/mem.out \
 		-memprofilerate 1 . | tee hotpath_pprof/bench.txt
-
-# serve-smoke guards the serving layer: the serve and loadgen suites
-# under the race detector (drain, backpressure, byte-identity and the
-# runner cancellation stress all live there), then a quick CLI selftest
-# whose artifact must pass the serve gate — and, like the other gates,
-# the deliberately degraded fixture must fail it.
-serve-smoke:
-	$(GO) test -race ./internal/serve/...
-	$(GO) run ./cmd/capuchin-serve -selftest -quick -json /tmp/capuchin-serve-smoke.json
-	$(GO) run ./cmd/capuchin-regress -fleet '' -runner '' -hotpath '' \
-		-serve /tmp/capuchin-serve-smoke.json
-	if $(GO) run ./cmd/capuchin-regress -fleet '' -runner '' -hotpath '' \
-		-serve internal/bench/testdata/serve_regressed_baseline.json >/dev/null; then \
-		echo "serve-smoke: gate passed a degraded serve baseline"; exit 1; fi
-	rm -f /tmp/capuchin-serve-smoke.json
 
 # profile-smoke drives the observability stack end to end: the exporter
 # tests (golden Chrome trace, memory profile, audit log, metrics) plus a

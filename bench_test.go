@@ -342,7 +342,7 @@ func BenchmarkMeasuredIteration(b *testing.B) {
 // BenchmarkHotPathIteration pins the flagship hot path: a guided
 // Capuchin training iteration on a warm session, the loop every sweep
 // and regression run re-executes. Steady state must not allocate — the
-// alloc gate (make perf-smoke) budgets this benchmark at zero.
+// alloc gate (make gate) budgets this benchmark in BENCH_hotpath.json.
 func BenchmarkHotPathIteration(b *testing.B) {
 	r := bench.Run(bench.RunConfig{
 		Model: "resnet50", Batch: 400, System: bench.SystemCapuchin,

@@ -29,8 +29,9 @@
 // Tracing is outcome-neutral, so the table and JSON are unchanged.
 //
 // Every JSON artifact embeds a meta provenance block (tool, seed,
-// toolchain, semantic flags) that cmd/capuchin-regress validates and
-// reads the reproduction parameters from. The block is deterministic
+// toolchain, semantic flags); the fleet baseline BENCH_fleet.json
+// carries the same block, and cmd/capuchin-regress reads the
+// reproduction parameters from it. The block is deterministic
 // for a fixed checkout; -meta-date opts into stamping a wall-clock
 // date, which trades away reproduction-time byte equality.
 //

@@ -1,28 +1,27 @@
-// Command capuchin-regress is the perf-regression gate: it reproduces
-// the experiments behind the checked-in BENCH_*.json artifacts and
-// diffs the fresh results against them with per-metric tolerances.
+// Command capuchin-regress is the perf-regression gate: it gates a
+// fresh run against a checked-in BENCH_*.json baseline, row by row.
 //
 // Usage:
 //
-//	capuchin-regress [-fleet BENCH_fleet.json] [-runner BENCH_parallel_runner.json]
-//	                 [-hotpath BENCH_hotpath.json] [-serve BENCH_serve.json]
-//	                 [-slack N] [-jobs N]
+//	capuchin-regress [-jobs N] [-o fresh.json] BASE [FRESH]
 //
-// Each baseline artifact carries a meta provenance block (tool, seed,
-// toolchain, semantic flags) that the gate validates and reads the
-// reproduction parameters from — the artifact is self-describing, so
-// the gate needs no side-channel configuration. Metrics only fail in
-// their bad direction (fewer completions, more kills, slower tails);
-// improvements never fail the gate. -slack multiplies every tolerance:
-// 1 for the strict local gate, higher for CI smoke where only gross
-// regressions matter.
+// Every baseline has one shape: a meta provenance block and rows of
+// {metric, value, unit, better, tol}. The fresh rows come from BASE's
+// meta.tool. Fleet and runner baselines are re-run at the parameters
+// their meta records. Alloc baselines take FRESH as `go test -bench
+// -benchmem` output, and any other baseline (the serve selftest's)
+// takes FRESH as an artifact of the same shape. A row fails only when
+// it drifts past its tol in its bad direction; improvements never fail.
+// -o writes the fresh artifact, which is how a baseline is
+// regenerated.
 //
-// Passing an empty path skips that gate. Exits 0 when every gated
-// metric is within tolerance, 1 when any regressed, 2 on usage or
-// reproduction errors.
+// Exits 0 when no row regressed, 1 when any did, and 2 on usage,
+// identity (the runs differ in tool, seed, quick mode or semantic
+// flags) or missing-row errors.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -31,73 +30,45 @@ import (
 )
 
 func main() {
-	fleetPath := flag.String("fleet", "BENCH_fleet.json", "fleet baseline artifact (\"\" = skip)")
-	runnerPath := flag.String("runner", "BENCH_parallel_runner.json", "parallel-runner baseline artifact (\"\" = skip)")
-	hotpathPath := flag.String("hotpath", "BENCH_hotpath.json", "hot-path baseline artifact (\"\" = skip)")
-	servePath := flag.String("serve", "BENCH_serve.json", "serving-layer baseline artifact (\"\" = skip)")
-	slack := flag.Float64("slack", 1, "tolerance multiplier (>1 loosens every gate)")
-	jobs := flag.Int("jobs", 0, "parallel worker count for the reproduction runs (0 = GOMAXPROCS)")
+	jobs := flag.Int("jobs", 0, "parallel workers for re-run baselines (0 = GOMAXPROCS)")
+	out := flag.String("o", "", "also write the fresh artifact as JSON to this path")
 	flag.Parse()
-
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "unexpected arguments: %v\n", flag.Args())
-		flag.Usage()
+	if flag.NArg() < 1 || flag.NArg() > 2 {
+		fmt.Fprintln(os.Stderr, "usage: capuchin-regress [-jobs N] [-o fresh.json] BASE [FRESH]")
 		os.Exit(2)
 	}
-	if *fleetPath == "" && *runnerPath == "" && *hotpathPath == "" && *servePath == "" {
-		fmt.Fprintln(os.Stderr, "nothing to gate: -fleet, -runner, -hotpath and -serve are all empty")
-		os.Exit(2)
-	}
-	o := bench.Options{Jobs: *jobs}
 
-	var regs []bench.Regression
-	if *fleetPath != "" {
-		r, err := bench.RegressFleet(*fleetPath, o, *slack)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fleet gate: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Printf("fleet gate: %s: %d regressed\n", *fleetPath, len(r))
-		regs = append(regs, r...)
+	base, err := bench.ReadArtifact(flag.Arg(0))
+	if err != nil {
+		fail(err)
 	}
-	if *runnerPath != "" {
-		r, err := bench.RegressParallelRunner(*runnerPath, o, *slack)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "runner gate: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Printf("runner gate: %s: determinism + wall-clock ratio checked, %d regressed\n",
-			*runnerPath, len(r))
-		regs = append(regs, r...)
+	fresh, err := bench.Fresh(base, flag.Arg(1), bench.Options{Jobs: *jobs})
+	if err != nil {
+		fail(err)
 	}
-	if *hotpathPath != "" {
-		r, err := bench.RegressHotpath(*hotpathPath, *slack)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hotpath gate: %v\n", err)
-			os.Exit(2)
+	if *out != "" {
+		b, err := json.MarshalIndent(fresh, "", "  ")
+		if err == nil {
+			err = os.WriteFile(*out, append(b, '\n'), 0o644)
 		}
-		fmt.Printf("hotpath gate: %s: speedup + alloc-budget consistency checked, %d regressed\n",
-			*hotpathPath, len(r))
-		regs = append(regs, r...)
-	}
-
-	if *servePath != "" {
-		r, err := bench.RegressServe(*servePath, *slack)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "serve gate: %v\n", err)
-			os.Exit(2)
+			fail(err)
 		}
-		fmt.Printf("serve gate: %s: ledger + byte-identity + drain checked, %d regressed\n",
-			*servePath, len(r))
-		regs = append(regs, r...)
 	}
-
+	regs, err := bench.Compare(base, fresh)
+	if err != nil {
+		fail(err)
+	}
+	fmt.Printf("%s (%s): %d rows, %d regressed\n", flag.Arg(0), base.Meta.Tool, len(base.Rows), len(regs))
+	for _, r := range regs {
+		fmt.Printf("REGRESSION %s\n", r)
+	}
 	if len(regs) > 0 {
-		fmt.Println()
-		for _, r := range regs {
-			fmt.Printf("REGRESSION %s\n", r)
-		}
 		os.Exit(1)
 	}
-	fmt.Println("no regressions")
+}
+
+func fail(err error) {
+	fmt.Fprintf(os.Stderr, "capuchin-regress: %v\n", err)
+	os.Exit(2)
 }

@@ -36,9 +36,11 @@
 // seeded closed-loop fleet of -clients concurrent clients (default
 // 1000) driving a live in-process server, followed by a deterministic
 // backpressure-and-drain scenario, written as the BENCH_serve.json
-// artifact (-json) that cmd/capuchin-regress -serve gates. -quick trims
-// the fleet for CI smoke and records itself in the artifact's meta
-// block; -meta-date opts into stamping a wall-clock date.
+// artifact (-json): its meta and rows are what `capuchin-regress
+// BENCH_serve.json FRESH` gates. -quick trims the fleet for a fast
+// local run and records itself in the artifact's meta block (so a quick
+// artifact is not gated against the full baseline); -meta-date opts into
+// stamping a wall-clock date.
 package main
 
 import (
@@ -64,7 +66,7 @@ func main() {
 	clients := flag.Int("clients", 0, "selftest: concurrent closed-loop clients (0 = 1000, or 64 with -quick)")
 	requests := flag.Int("requests", 0, "selftest: total request budget (0 = 3x clients)")
 	seed := flag.Uint64("seed", 1, "selftest: workload-menu seed")
-	quick := flag.Bool("quick", false, "selftest: trimmed fleet for CI smoke")
+	quick := flag.Bool("quick", false, "selftest: trimmed fleet for a fast local run")
 	jsonPath := flag.String("json", "BENCH_serve.json", "selftest: artifact output path (\"\" = stdout only)")
 	metaDate := flag.String("meta-date", "", "selftest: stamp meta.date YYYY-MM-DD (breaks byte reproducibility)")
 	flag.Parse()

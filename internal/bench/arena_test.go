@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"testing"
 
 	"capuchin/internal/exec"
@@ -12,29 +11,6 @@ func TestGoldenArenaQuick(t *testing.T) {
 		t.Skip("quick arena takes a few seconds")
 	}
 	checkGolden(t, "arena_quick", Arena(goldenOpts()))
-}
-
-// TestArenaJobsByteIdentical is the determinism satellite: the rendered
-// arena table must not depend on the worker-pool width. Fresh runners on
-// each side, so nothing is served from a shared cache.
-func TestArenaJobsByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the quick arena twice")
-	}
-	render := func(jobs int) []byte {
-		o := goldenOpts()
-		o.Jobs = jobs
-		var buf bytes.Buffer
-		if err := Arena(o).WriteText(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	serial := render(1)
-	parallel := render(8)
-	if !bytes.Equal(serial, parallel) {
-		t.Errorf("arena table differs between -jobs 1 and -jobs 8:\n--- jobs=1\n%s--- jobs=8\n%s", serial, parallel)
-	}
 }
 
 // TestArenaCoversRegisteredRivals pins the tournament roster to the

@@ -97,8 +97,8 @@ func TestCommAwareNotSlower(t *testing.T) {
 }
 
 // TestScalingDeterminism renders the scaling table twice from independent
-// runners; the simulator is deterministic, so the bytes must match. The
-// scale-smoke make target replays the same property via the CLI.
+// runners; the simulator is deterministic, so the bytes must match.
+// TestReplayAcrossJobs checks the same property across job counts.
 func TestScalingDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scaling table takes several seconds")

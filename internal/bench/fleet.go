@@ -161,7 +161,8 @@ func (fo FleetOptions) fill(quick bool) FleetOptions {
 // three scenarios (admit-all baseline, predictive admission, predictive
 // plus Capuchin-managed jobs) over one identical arrival stream. It is
 // fully determined by (Options.Device, Options.Quick, FleetOptions) and
-// marshals to stable JSON — the BENCH_fleet.json contract.
+// marshals to stable JSON. FleetArtifact is its gated view, the shape
+// of BENCH_fleet.json.
 type FleetComparison struct {
 	// Meta is the run's provenance block. It is deterministic for a
 	// fixed checkout (no wall-clock unless explicitly stamped), so the
@@ -239,7 +240,7 @@ func fleetConfig(o Options, fo FleetOptions, menu []fleet.Workload, prof fleet.P
 
 // fleetMeta is the deterministic provenance block of a fleet artifact.
 func fleetMeta(o Options, fo FleetOptions) RunMeta {
-	return NewRunMeta("capuchin-bench -exp fleet", fo.Seed, o.Quick,
+	return NewRunMeta(ToolFleet, fo.Seed, o.Quick,
 		fmt.Sprintf("device=%s", o.Device.Name),
 		fmt.Sprintf("mem-gib=%d", o.Device.MemoryBytes/hw.GiB),
 		fmt.Sprintf("fleet-jobs=%d", fo.Jobs),

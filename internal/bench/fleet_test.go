@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"testing"
 
 	"capuchin/internal/fleet"
@@ -84,37 +83,6 @@ func TestFleetScenariosAcceptance(t *testing.T) {
 		if got := r.Completed + r.Rejected; got != fc.Jobs {
 			t.Errorf("%s/%s: %d terminal jobs, want %d", r.Mode, r.Manager, got, fc.Jobs)
 		}
-	}
-}
-
-// TestFleetByteIdenticalAcrossJobs pins the replayability contract: the
-// rendered fleet table and the JSON artifact are byte-identical whether
-// the profiling cells run serially or eight-wide.
-func TestFleetByteIdenticalAcrossJobs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs real simulations")
-	}
-	render := func(jobs int) (string, string) {
-		fc, err := FleetScenarios(fleetTestOpts(jobs), FleetOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var tbl, js bytes.Buffer
-		if err := FleetTableFrom(fc).WriteText(&tbl); err != nil {
-			t.Fatal(err)
-		}
-		if err := fc.WriteJSON(&js); err != nil {
-			t.Fatal(err)
-		}
-		return tbl.String(), js.String()
-	}
-	t1, j1 := render(1)
-	t8, j8 := render(8)
-	if t1 != t8 {
-		t.Errorf("table differs between -jobs 1 and -jobs 8:\n%s\n---\n%s", t1, t8)
-	}
-	if j1 != j8 {
-		t.Errorf("JSON differs between -jobs 1 and -jobs 8")
 	}
 }
 

@@ -14,8 +14,9 @@ import (
 // deterministic for a fixed checkout: wall-clock Date is opt-in via
 // WithDate and never stamped automatically, and Flags holds curated
 // semantic flags only — never raw os.Args, which would leak
-// output-neutral flags like -jobs and break the byte-identity smoke
-// checks that cmp artifacts across job counts.
+// output-neutral flags like -jobs and break the byte-identity checks
+// that compare artifacts across job counts. The gate treats Tool, Seed,
+// Quick and Flags as the run's identity.
 type RunMeta struct {
 	// Tool is the producing command ("capuchin-bench -exp fleet").
 	Tool string `json:"tool"`

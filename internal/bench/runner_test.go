@@ -73,28 +73,6 @@ func TestRunnerMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestGeneratorsDeterministicAcrossJobs runs a real generator at -jobs 1
-// and -jobs 8 and requires byte-identical text output.
-func TestGeneratorsDeterministicAcrossJobs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full quick Table2 takes a few seconds")
-	}
-	render := func(jobs int) string {
-		o := Options{Device: hw.P100().WithMemory(4 * hw.GiB), Quick: true, Iterations: 2, Jobs: jobs}
-		var sb strings.Builder
-		if err := Table2(o).WriteText(&sb); err != nil {
-			t.Fatal(err)
-		}
-		if err := Fig8a(o).WriteText(&sb); err != nil {
-			t.Fatal(err)
-		}
-		return sb.String()
-	}
-	if one, eight := render(1), render(8); one != eight {
-		t.Errorf("-jobs 1 and -jobs 8 output differ\njobs=1:\n%s\njobs=8:\n%s", one, eight)
-	}
-}
-
 func TestRunnerCacheMemoizes(t *testing.T) {
 	r := NewRunner(4)
 	cfg := RunConfig{Model: "resnet50", Batch: 8, System: SystemTF, Device: smallDev(), Iterations: 2}

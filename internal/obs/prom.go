@@ -28,7 +28,7 @@ import (
 // The output is deterministic: metrics sort by sanitized name, floats
 // format via strconv with the shortest round-trip representation, and no
 // timestamps are emitted — equal registries render byte-identical text,
-// which is what lets `make regress-smoke` cmp two expositions.
+// which is what lets TestReplayAcrossJobs compare two expositions.
 
 // promName sanitizes a registry name into the Prometheus metric charset.
 func promName(name string) string {

@@ -66,7 +66,7 @@ func TestWritePrometheus(t *testing.T) {
 
 // TestWritePrometheusDeterministic pins byte-identical expositions for
 // registries built in different insertion orders — the property
-// `make regress-smoke` relies on when it cmps two runs.
+// TestReplayAcrossJobs relies on when it compares two runs.
 func TestWritePrometheusDeterministic(t *testing.T) {
 	build := func(perm []int) *Metrics {
 		m := NewMetrics()

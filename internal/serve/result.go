@@ -30,7 +30,7 @@ type resultWire struct {
 // The encoding is a pure function of the Result's serializable fields;
 // the simulator is deterministic, so a run served over HTTP and a
 // direct bench.Run of the same canonical config encode byte-identically
-// (make serve-smoke asserts exactly that).
+// (the selftest's byte_identity row asserts exactly that).
 func EncodeResult(res bench.Result) ([]byte, error) {
 	wire := resultWire{
 		Config:     res.Config,

@@ -25,8 +25,9 @@ import (
 
 // SelfTestOptions configures the selftest.
 type SelfTestOptions struct {
-	// Clients is the load-phase fleet size; 0 means 1000 (the floor the
-	// regression gate enforces for non-quick artifacts).
+	// Clients is the load-phase fleet size; 0 means 1000 (the size of
+	// the checked-in baseline, which the gate requires a fresh run to
+	// match).
 	Clients int
 	// Requests is the load-phase request budget; 0 means 3 x Clients.
 	Requests int
@@ -34,8 +35,8 @@ type SelfTestOptions struct {
 	Seed uint64
 	// Workers sizes the primary server's pool; 0 means GOMAXPROCS.
 	Workers int
-	// Quick trims the fleet for CI smoke (64 clients unless Clients is
-	// set) and records itself in the artifact's meta block.
+	// Quick trims the fleet for a fast local run (64 clients unless
+	// Clients is set) and records itself in the artifact's meta block.
 	Quick bool
 	// MetaDate optionally stamps meta.date (YYYY-MM-DD).
 	MetaDate string
@@ -68,9 +69,11 @@ type ByteIdentity struct {
 	Identical bool `json:"identical"`
 }
 
-// ServeBench is the BENCH_serve.json artifact.
+// ServeBench is the BENCH_serve.json artifact. Meta and Rows are its
+// gated view (bench.Artifact); the rest is the record they summarize.
 type ServeBench struct {
 	Meta         bench.RunMeta  `json:"meta"`
+	Rows         []bench.Row    `json:"rows"`
 	Load         loadgen.Report `json:"load"`
 	ByteIdentity ByteIdentity   `json:"byte_identity"`
 	Drain        DrainReport    `json:"drain"`
@@ -101,9 +104,9 @@ func startLocal(s *Server) (string, func(), error) {
 }
 
 // SelfTest runs both phases and assembles the artifact. A non-nil error
-// means the harness failed or an invariant the artifact cannot express
-// was violated; gate-visible degradations (shed rates, latency, drops)
-// are recorded in the artifact for RegressServe to judge.
+// means the harness failed; gate-visible degradations (request errors,
+// a result that is not byte-identical, drain drops) are recorded in the
+// artifact's rows for bench.Compare to judge.
 func SelfTest(o SelfTestOptions) (ServeBench, error) {
 	if o.Clients <= 0 {
 		if o.Quick {
@@ -139,7 +142,27 @@ func SelfTest(o SelfTestOptions) (ServeBench, error) {
 		return art, err
 	}
 	art.Drain = drain
+	art.Rows = art.gateRows()
 	return art, nil
+}
+
+// gateRows are the serve acceptance checks as rows: each holds at its
+// recorded value, with no tolerance. Wall-clock throughput and latency
+// are host-dependent, so they stay in the record but are not gated.
+func (b ServeBench) gateRows() []bench.Row {
+	bit := func(ok bool) float64 {
+		if ok {
+			return 1
+		}
+		return 0
+	}
+	return []bench.Row{
+		{Metric: "request_errors", Value: float64(b.Load.Errors), Unit: "requests", Better: bench.Lower},
+		{Metric: "byte_identity", Value: bit(b.ByteIdentity.Identical), Unit: "bool", Better: bench.Higher},
+		{Metric: "drain_dropped", Value: float64(b.Drain.Dropped), Unit: "runs", Better: bench.Lower},
+		{Metric: "drain_rejects_new_work", Value: bit(b.Drain.RejectedDuringDrain > 0), Unit: "bool", Better: bench.Higher},
+		{Metric: "backpressure_observed", Value: bit(b.Drain.ShedObserved), Unit: "bool", Better: bench.Higher},
+	}
 }
 
 // selfTestLoad is the throughput phase: a fleet of closed-loop clients

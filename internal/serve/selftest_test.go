@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+
+	"capuchin/internal/bench"
 )
 
 // TestSelfTestQuick runs the full selftest at a trimmed scale: both
@@ -51,5 +53,15 @@ func TestSelfTestQuick(t *testing.T) {
 	}
 	if round.Load.Total != art.Load.Total || round.Drain != art.Drain {
 		t.Errorf("round-trip drifted: %+v vs %+v", round, art)
+	}
+
+	// The gated view: the artifact's rows pass the gate against
+	// themselves, as decoded from its JSON.
+	var gated bench.Artifact
+	if err := json.Unmarshal(buf.Bytes(), &gated); err != nil {
+		t.Fatal(err)
+	}
+	if regs, err := bench.Compare(gated, gated); err != nil || len(regs) != 0 || len(gated.Rows) != 5 {
+		t.Errorf("artifact rows %v do not gate cleanly: %v, %v", gated.Rows, regs, err)
 	}
 }

@@ -188,6 +188,11 @@ func (s *Server) worker() {
 	}
 }
 
+// runOne executes a dequeued run. Whether it starts live or is
+// abandoned is one decision, the runner's: RunContext refuses every
+// not-yet-started cell once Close has cancelled baseCtx, and such a run
+// never simulated, so it is abandoned exactly like one Close finds
+// still queued.
 func (s *Server) runOne(e *runEntry) {
 	s.queued.Add(-1)
 	e.status.Store(statusRunning)
@@ -195,7 +200,18 @@ func (s *Server) runOne(e *runEntry) {
 		s.beforeRun(e)
 	}
 	res := s.runner.RunContext(s.baseCtx, e.cfg)
+	if errors.Is(res.Err, context.Canceled) && s.baseCtx.Err() != nil {
+		s.abandon(e)
+		return
+	}
 	s.finish(e, res)
+}
+
+// abandon completes a run that never started with a failed, uncached
+// result, so its waiters unblock.
+func (s *Server) abandon(e *runEntry) {
+	s.finish(e, bench.Result{Config: e.cfg,
+		Err: fmt.Errorf("serve: run abandoned: %w", context.Canceled)})
 }
 
 func (s *Server) finish(e *runEntry, res bench.Result) {
@@ -257,8 +273,7 @@ func (s *Server) Close() {
 		select {
 		case e := <-s.jobs:
 			s.queued.Add(-1)
-			s.finish(e, bench.Result{Config: e.cfg,
-				Err: fmt.Errorf("serve: run abandoned: %w", context.Canceled)})
+			s.abandon(e)
 		default:
 			return
 		}
