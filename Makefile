@@ -2,12 +2,12 @@
 # vet + build + full tests (the byte-identical replays across -jobs
 # live there, in TestReplayAcrossJobs) + the race detector at several
 # CPU counts + the chaos soak suite + the observability smoke + the
-# perf-regression gate.
+# perf-regression gate + vet and tests of the benchmark module.
 GO ?= go
 
-.PHONY: check vet build test race soak bench goldens profile-smoke fuzz-smoke gate hotpath-profiles
+.PHONY: check vet build test race soak bench goldens profile-smoke fuzz-smoke gate hotpath-profiles perfbench-check
 
-check: vet build test race soak profile-smoke gate
+check: vet build test race soak profile-smoke gate perfbench-check
 
 vet:
 	$(GO) vet ./...
@@ -39,11 +39,13 @@ soak:
 	$(GO) test -race -count=2 ./internal/exec -run 'Fault|FallsBack|Abandonment|Spikes|ErrorChain|Dynamic'
 
 # fuzz-smoke runs each fuzz target briefly (30s in CI): the shadow-model
-# allocator fuzzer and the shape-inference fuzzers must stay quiet.
+# allocator fuzzer, the shape-inference fuzzers and the event encoders'
+# byte-identity check against encoding/json must stay quiet.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzBFCAllocator' -fuzztime $(FUZZTIME) ./internal/memory
 	$(GO) test -run '^$$' -fuzz 'FuzzConvShapeInference' -fuzztime $(FUZZTIME) ./internal/ops
+	$(GO) test -run '^$$' -fuzz 'FuzzEventEncoders' -fuzztime $(FUZZTIME) ./internal/obs
 
 # bench reproduces the BenchmarkMatrix record in BENCH_parallel_runner.json
 # (its gated rows are re-measured by capuchin-regress under make gate).
@@ -93,6 +95,13 @@ hotpath-profiles:
 	$(GO) test -run '^$$' -bench 'BenchmarkHotPathIteration$$' -benchmem -benchtime 100x \
 		-cpuprofile hotpath_pprof/cpu.out -memprofile hotpath_pprof/mem.out \
 		-memprofilerate 1 . | tee hotpath_pprof/bench.txt
+
+# perfbench-check compiles, vets and tests the benchmark module. It is a
+# Go module of its own (perfbench/go.mod), so ./... above never reaches
+# it, and an API break in a package it imports would otherwise show up
+# only when the benchmark runs.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # profile-smoke drives the observability stack end to end: the exporter
 # tests (golden Chrome trace, memory profile, audit log, metrics) plus a

@@ -1,27 +1,11 @@
 package obs
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"capuchin/internal/sim"
 )
-
-// chromeRecord is one entry of the Chrome trace-event JSON array. Field
-// order matches the trace-event specification's conventional layout; maps
-// in Args marshal with sorted keys, so the output is deterministic.
-type chromeRecord struct {
-	Name  string         `json:"name"`
-	Cat   string         `json:"cat,omitempty"`
-	Ph    string         `json:"ph"`
-	TS    float64        `json:"ts"`
-	PID   int            `json:"pid"`
-	TID   int            `json:"tid"`
-	Scope string         `json:"s,omitempty"`
-	Args  map[string]any `json:"args,omitempty"`
-}
 
 // chromePID is the single simulated process.
 const chromePID = 1
@@ -36,6 +20,66 @@ var laneOrder = []string{"compute", "h2d", "d2h", "cpu"}
 // format expects.
 func usec(t sim.Time) float64 { return float64(t) / float64(sim.Microsecond) }
 
+// chromeProc is one Perfetto process: the default group or one named
+// group, with the lanes its events used.
+type chromeProc struct {
+	name  string
+	pid   int
+	tids  map[string]int // lane → thread ID, for the lanes seen
+	lanes []string       // lanes seen, in first-seen order
+	extra int            // lanes seen that are not in laneOrder
+}
+
+// tid returns lane's thread ID, registering the lane on first sight.
+// The empty lane is thread 0 and is never registered.
+func (p *chromeProc) tid(lane string) int {
+	if lane == "" {
+		return 0
+	}
+	if tid, ok := p.tids[lane]; ok {
+		return tid
+	}
+	tid := slices.Index(laneOrder, lane)
+	if tid < 0 {
+		tid = len(laneOrder) + p.extra
+		p.extra++
+	}
+	p.tids[lane] = tid
+	p.lanes = append(p.lanes, lane)
+	return tid
+}
+
+// Record parts: which of its event's records an index entry renders.
+// They are numbered in the order the records of one event are emitted.
+const (
+	partBegin   uint8 = iota // span B, or a lane instant
+	partEnd                  // span E
+	partDevice               // "device memory" counter, or a gauge
+	partLargest              // "largest free chunk" counter
+	partHost                 // "host memory" counter
+)
+
+// chromeRec indexes one timeline record: the event it renders from,
+// which part of it, its process and thread, and its timestamp.
+type chromeRec struct {
+	ts       float64
+	ev       int
+	pid, tid int32
+	part     uint8
+}
+
+// counterParts is the number of counter records ev carries: one gauge
+// value, three memory tracks, or none.
+func counterParts(ev *Event) int {
+	if ev.Cat == "gauge" {
+		return 1
+	}
+	if ev.Used == 0 && ev.Free == 0 && ev.HostUsed == 0 {
+		return 0
+	}
+	return 3
+}
+
 // WriteChromeTrace exports events as Chrome trace-event JSON, directly
 // loadable in Perfetto or chrome://tracing: one lane per stream with
 // matched B/E span pairs, instant events for faults and OOM recoveries,
@@ -49,167 +93,177 @@ func usec(t sim.Time) float64 { return float64(t) / float64(sim.Microsecond) }
 // the pre-cluster format.
 //
 // The output is deterministic: identical event slices produce
-// byte-identical JSON.
+// byte-identical JSON. Each record is rendered straight from its Event
+// (see enc.go); the bytes are those encoding/json gives for the record
+// structs kept as the reference in the package tests.
 func WriteChromeTrace(w io.Writer, events []Event) error {
-	pids := map[string]int{"": chromePID}
-	var extraGroups []string // non-default groups in first-seen order
-	notePID := func(group string) int {
-		if pid, ok := pids[group]; ok {
-			return pid
-		}
-		pid := chromePID + len(pids)
-		pids[group] = pid
-		extraGroups = append(extraGroups, group)
-		return pid
-	}
-	groupTIDs := make(map[string]map[string]int)
-	groupLanes := make(map[string][]string)
-	tidsOf := func(group string) map[string]int {
-		m, ok := groupTIDs[group]
+	procs := []*chromeProc{{pid: chromePID, tids: map[string]int{}}}
+	byGroup := map[string]*chromeProc{"": procs[0]}
+	procOf := func(group string) *chromeProc {
+		p, ok := byGroup[group]
 		if !ok {
-			m = make(map[string]int, len(laneOrder))
-			for i, lane := range laneOrder {
-				m[lane] = i
-			}
-			groupTIDs[group] = m
+			p = &chromeProc{name: group, pid: chromePID + len(procs), tids: map[string]int{}}
+			byGroup[group] = p
+			procs = append(procs, p)
 		}
-		return m
-	}
-	laneSeen := make(map[string]map[string]bool)
-	noteLane := func(group, lane string) int {
-		if lane == "" {
-			return 0
-		}
-		if laneSeen[group] == nil {
-			laneSeen[group] = make(map[string]bool)
-		}
-		if !laneSeen[group][lane] {
-			laneSeen[group][lane] = true
-			groupLanes[group] = append(groupLanes[group], lane)
-		}
-		m := tidsOf(group)
-		if tid, ok := m[lane]; ok {
-			return tid
-		}
-		tid := len(m)
-		m[lane] = tid
-		return tid
+		return p
 	}
 
-	var records []chromeRecord
-	for _, ev := range events {
-		switch ev.Kind {
+	n := 0
+	for i := range events {
+		switch ev := &events[i]; ev.Kind {
 		case KindSpan:
-			pid, tid := notePID(ev.Group), noteLane(ev.Group, ev.Lane)
-			args := spanArgs(ev)
-			records = append(records,
-				chromeRecord{Name: ev.Name, Cat: ev.Cat, Ph: "B", TS: usec(ev.Start), PID: pid, TID: tid, Args: args},
-				chromeRecord{Name: ev.Name, Cat: ev.Cat, Ph: "E", TS: usec(ev.End), PID: pid, TID: tid})
+			n += 2
 		case KindInstant:
 			if ev.Lane != "" {
-				records = append(records, chromeRecord{
-					Name: ev.Name, Cat: ev.Cat, Ph: "i", TS: usec(ev.Start),
-					PID: notePID(ev.Group), TID: noteLane(ev.Group, ev.Lane), Scope: "t", Args: spanArgs(ev),
-				})
+				n++
 			}
-			records = append(records, counterRecords(ev, notePID(ev.Group))...)
+			n += counterParts(ev)
 		case KindCounter:
-			records = append(records, counterRecords(ev, notePID(ev.Group))...)
+			n += counterParts(ev)
 		}
 	}
-	// Stable sort by timestamp: records built in emission order, so at
-	// equal timestamps a span's E precedes the next span's B and pairs
-	// stay matched.
-	sort.SliceStable(records, func(i, j int) bool { return records[i].TS < records[j].TS })
+	recs := make([]chromeRec, 0, n)
+	add := func(i int, ts sim.Time, pid, tid int, part uint8) {
+		recs = append(recs, chromeRec{ts: usec(ts), ev: i, pid: int32(pid), tid: int32(tid), part: part})
+	}
+	addCounters := func(i int, ev *Event, pid int) {
+		for k := 0; k < counterParts(ev); k++ {
+			add(i, ev.Start, pid, 0, partDevice+uint8(k))
+		}
+	}
+	for i := range events {
+		switch ev := &events[i]; ev.Kind {
+		case KindSpan:
+			p := procOf(ev.Group)
+			tid := p.tid(ev.Lane)
+			add(i, ev.Start, p.pid, tid, partBegin)
+			add(i, ev.End, p.pid, tid, partEnd)
+		case KindInstant:
+			p := procOf(ev.Group)
+			if ev.Lane != "" {
+				add(i, ev.Start, p.pid, p.tid(ev.Lane), partBegin)
+			}
+			addCounters(i, ev, p.pid)
+		case KindCounter:
+			addCounters(i, ev, procOf(ev.Group).pid)
+		}
+	}
+	// Order by timestamp, then by emission: at equal timestamps a span's
+	// E precedes the next span's B and pairs stay matched.
+	slices.SortFunc(recs, func(a, b chromeRec) int {
+		switch {
+		case a.ts < b.ts:
+			return -1
+		case a.ts > b.ts:
+			return 1
+		case a.ev != b.ev:
+			return a.ev - b.ev
+		}
+		return int(a.part) - int(b.part)
+	})
 
-	meta := []chromeRecord{{
-		Name: "process_name", Ph: "M", PID: chromePID, TID: 0,
-		Args: map[string]any{"name": "capuchin-sim"},
-	}}
-	laneMeta := func(group string, pid int) {
-		lanes, tids := groupLanes[group], groupTIDs[group]
-		sort.Slice(lanes, func(i, j int) bool { return tids[lanes[i]] < tids[lanes[j]] })
-		for _, lane := range lanes {
-			meta = append(meta,
-				chromeRecord{Name: "thread_name", Ph: "M", PID: pid, TID: tids[lane], Args: map[string]any{"name": lane}},
-				chromeRecord{Name: "thread_sort_index", Ph: "M", PID: pid, TID: tids[lane], Args: map[string]any{"sort_index": tids[lane]}})
+	b := make([]byte, 0, flushAt+4096)
+	b = append(b, chromeHead...)
+	for _, p := range procs {
+		if p.pid != chromePID {
+			b = appendNameMeta(b, "process_name", p.pid, 0, p.name)
+			b = appendSortMeta(b, "process_sort_index", p.pid, 0, p.pid)
+		}
+		slices.SortFunc(p.lanes, func(x, y string) int { return p.tids[x] - p.tids[y] })
+		for _, lane := range p.lanes {
+			tid := p.tids[lane]
+			b = appendNameMeta(b, "thread_name", p.pid, tid, lane)
+			b = appendSortMeta(b, "thread_sort_index", p.pid, tid, tid)
 		}
 	}
-	laneMeta("", chromePID)
-	for _, group := range extraGroups {
-		pid := pids[group]
-		meta = append(meta,
-			chromeRecord{Name: "process_name", Ph: "M", PID: pid, TID: 0, Args: map[string]any{"name": group}},
-			chromeRecord{Name: "process_sort_index", Ph: "M", PID: pid, TID: 0, Args: map[string]any{"sort_index": pid}})
-		laneMeta(group, pid)
-	}
-	records = append(meta, records...)
-
-	if _, err := fmt.Fprintf(w, "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"); err != nil {
-		return err
-	}
-	for i, r := range records {
-		b, err := json.Marshal(r)
-		if err != nil {
-			return err
-		}
-		if i > 0 {
-			if _, err := io.WriteString(w, ",\n"); err != nil {
+	for _, r := range recs {
+		b = appendChromeRecord(append(b, ",\n"...), &events[r.ev], r)
+		if len(b) >= flushAt {
+			if _, err := w.Write(b); err != nil {
 				return err
 			}
-		}
-		if _, err := w.Write(b); err != nil {
-			return err
+			b = b[:0]
 		}
 	}
-	_, err := io.WriteString(w, "\n]}\n")
+	_, err := w.Write(append(b, "\n]}\n"...))
 	return err
 }
 
-// spanArgs assembles the args payload of a span or lane instant.
-func spanArgs(ev Event) map[string]any {
-	args := make(map[string]any, 6)
-	args["iter"] = ev.Iter
-	if ev.Tensor != "" {
-		args["tensor"] = ev.Tensor
-	}
-	if ev.Node != "" {
-		args["node"] = ev.Node
-	}
-	if ev.Bytes > 0 {
-		args["bytes"] = ev.Bytes
-	}
-	if ev.Queued != 0 || ev.Cat == "transfer" {
-		args["queued_us"] = usec(ev.Queued)
-		args["queue_wait_us"] = usec(ev.Start - ev.Queued)
-	}
-	if ev.Detail != "" {
-		args["detail"] = ev.Detail
-	}
-	return args
+// appendHead opens a record with every field up to "tid".
+func appendHead(b []byte, name, cat, ph string, ts float64, pid, tid int) []byte {
+	b = appendString(append(b, `{"name":`...), name)
+	b = optString(b, `,"cat":`, cat)
+	b = append(b, `,"ph":"`...)
+	b = append(b, ph...)
+	b = appendFloat(append(b, `","ts":`...), ts)
+	b = appendInt(b, `,"pid":`, int64(pid))
+	return appendInt(b, `,"tid":`, int64(tid))
 }
 
-// counterRecords renders the memory counter tracks for an event carrying
-// allocator samples, in the process of the event's group. Events in
-// category "gauge" are generic single-value counter tracks (the fleet
-// scheduler's queue depth, for example): the track is named by the event
-// and the value rides in Bytes. Executor events never use Cat "gauge",
-// so pre-fleet traces are unaffected.
-func counterRecords(ev Event, pid int) []chromeRecord {
-	if ev.Cat == "gauge" {
-		return []chromeRecord{{Name: ev.Name, Ph: "C", TS: usec(ev.Start), PID: pid, TID: 0,
-			Args: map[string]any{"value": ev.Bytes}}}
+// chromeHead opens the trace with its first record, the default
+// process's name. Every later record is preceded by a separator.
+const chromeHead = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n" +
+	`{"name":"process_name","ph":"M","ts":0,"pid":1,"tid":0,"args":{"name":"capuchin-sim"}}`
+
+// appendNameMeta appends a metadata record naming a process or thread.
+func appendNameMeta(b []byte, what string, pid, tid int, name string) []byte {
+	b = appendHead(append(b, ",\n"...), what, "", "M", 0, pid, tid)
+	return append(appendString(append(b, `,"args":{"name":`...), name), "}}"...)
+}
+
+// appendSortMeta appends a metadata record ordering a process or thread.
+func appendSortMeta(b []byte, what string, pid, tid, index int) []byte {
+	b = appendHead(append(b, ",\n"...), what, "", "M", 0, pid, tid)
+	return append(appendInt(b, `,"args":{"sort_index":`, int64(index)), "}}"...)
+}
+
+// appendChromeRecord renders one indexed record from its event.
+func appendChromeRecord(b []byte, ev *Event, r chromeRec) []byte {
+	pid, tid := int(r.pid), int(r.tid)
+	switch r.part {
+	case partBegin:
+		if ev.Kind == KindSpan {
+			b = appendHead(b, ev.Name, ev.Cat, "B", r.ts, pid, tid)
+		} else {
+			b = append(appendHead(b, ev.Name, ev.Cat, "i", r.ts, pid, tid), `,"s":"t"`...)
+		}
+		return append(appendSpanArgs(b, ev), '}')
+	case partEnd:
+		return append(appendHead(b, ev.Name, ev.Cat, "E", r.ts, pid, tid), '}')
+	case partDevice:
+		if ev.Cat == "gauge" {
+			b = appendHead(b, ev.Name, "", "C", r.ts, pid, tid)
+			return append(appendInt(b, `,"args":{"value":`, ev.Bytes), "}}"...)
+		}
+		b = appendHead(b, "device memory", "", "C", r.ts, pid, tid)
+		b = appendInt(b, `,"args":{"free":`, ev.Free)
+		return append(appendInt(b, `,"used":`, ev.Used), "}}"...)
+	case partLargest:
+		b = appendHead(b, "largest free chunk", "", "C", r.ts, pid, tid)
+		return append(appendInt(b, `,"args":{"bytes":`, ev.LargestFree), "}}"...)
+	default: // partHost
+		b = appendHead(b, "host memory", "", "C", r.ts, pid, tid)
+		return append(appendInt(b, `,"args":{"used":`, ev.HostUsed), "}}"...)
 	}
-	if ev.Used == 0 && ev.Free == 0 && ev.HostUsed == 0 {
-		return nil
+}
+
+// appendSpanArgs appends the args object of a span or lane instant,
+// keys in sorted order as encoding/json writes a map.
+func appendSpanArgs(b []byte, ev *Event) []byte {
+	b = append(b, `,"args":{`...)
+	if ev.Bytes > 0 {
+		b = append(appendInt(b, `"bytes":`, ev.Bytes), ',')
 	}
-	ts := usec(ev.Start)
-	return []chromeRecord{
-		{Name: "device memory", Ph: "C", TS: ts, PID: pid, TID: 0,
-			Args: map[string]any{"free": ev.Free, "used": ev.Used}},
-		{Name: "largest free chunk", Ph: "C", TS: ts, PID: pid, TID: 0,
-			Args: map[string]any{"bytes": ev.LargestFree}},
-		{Name: "host memory", Ph: "C", TS: ts, PID: pid, TID: 0,
-			Args: map[string]any{"used": ev.HostUsed}},
+	if ev.Detail != "" {
+		b = append(appendString(append(b, `"detail":`...), ev.Detail), ',')
 	}
+	b = appendInt(b, `"iter":`, int64(ev.Iter))
+	b = optString(b, `,"node":`, ev.Node)
+	if ev.Queued != 0 || ev.Cat == "transfer" {
+		b = appendFloat(append(b, `,"queue_wait_us":`...), usec(ev.Start-ev.Queued))
+		b = appendFloat(append(b, `,"queued_us":`...), usec(ev.Queued))
+	}
+	b = optString(b, `,"tensor":`, ev.Tensor)
+	return append(b, '}')
 }

@@ -1,59 +1,19 @@
 package obs
 
 import (
-	"encoding/json"
 	"io"
 	"sync"
 )
 
 // JSONL encoding: one JSON object per line, suitable for tailing by an
-// external process (the planned capuchin-serve streams exactly these
-// records). Every record carries a "type" discriminator — "event" or
-// "decision" — so a single stream can interleave both logs. Encoding is
-// deterministic: fields appear in struct order, zero-valued optional
-// fields are omitted, and virtual times are integer nanoseconds.
-
-// jsonlEvent is the wire form of an Event.
-type jsonlEvent struct {
-	Type   string `json:"type"`
-	Kind   string `json:"kind"`
-	Cat    string `json:"cat,omitempty"`
-	Name   string `json:"name,omitempty"`
-	Lane   string `json:"lane,omitempty"`
-	Group  string `json:"group,omitempty"`
-	Start  int64  `json:"start"`
-	End    int64  `json:"end,omitempty"`
-	Queued int64  `json:"queued,omitempty"`
-	Iter   int    `json:"iter,omitempty"`
-	Tensor string `json:"tensor,omitempty"`
-	Node   string `json:"node,omitempty"`
-	Bytes  int64  `json:"bytes,omitempty"`
-	Used   int64  `json:"used,omitempty"`
-	Free   int64  `json:"free,omitempty"`
-	Lrg    int64  `json:"largestFree,omitempty"`
-	Host   int64  `json:"hostUsed,omitempty"`
-	Detail string `json:"detail,omitempty"`
-}
-
-// jsonlDecision is the wire form of a Decision.
-type jsonlDecision struct {
-	Type         string  `json:"type"`
-	Iter         int     `json:"iter,omitempty"`
-	At           int64   `json:"at"`
-	Policy       string  `json:"policy,omitempty"`
-	Group        string  `json:"group,omitempty"`
-	Tensor       string  `json:"tensor,omitempty"`
-	Action       string  `json:"action"`
-	Class        string  `json:"class,omitempty"`
-	Reason       string  `json:"reason,omitempty"`
-	FreeTime     int64   `json:"freeTime,omitempty"`
-	MSPS         float64 `json:"msps,omitempty"`
-	BackAccess   int64   `json:"backAccess,omitempty"`
-	Candidates   int     `json:"candidates,omitempty"`
-	Bytes        int64   `json:"bytes,omitempty"`
-	CommSlowdown float64 `json:"commSlowdown,omitempty"`
-	CommUntil    int64   `json:"commUntil,omitempty"`
-}
+// external process (capuchin-serve streams exactly these records on
+// /v1/runs/{id}/events). Every record carries a "type" discriminator —
+// "event" or "decision" — so a single stream can interleave both logs.
+// Encoding is deterministic: fields appear in a fixed order, zero-valued
+// optional fields are omitted, and virtual times are integer
+// nanoseconds. The records are appended field by field (see enc.go);
+// the bytes are those encoding/json gives for the wire structs kept as
+// the reference in the package tests.
 
 // kindName renders an EventKind for the wire.
 func kindName(k EventKind) string {
@@ -68,59 +28,114 @@ func kindName(k EventKind) string {
 	return "unknown"
 }
 
-func eventRecord(ev Event) jsonlEvent {
-	return jsonlEvent{
-		Type: "event", Kind: kindName(ev.Kind),
-		Cat: ev.Cat, Name: ev.Name, Lane: ev.Lane, Group: ev.Group,
-		Start: int64(ev.Start), End: int64(ev.End), Queued: int64(ev.Queued),
-		Iter: ev.Iter, Tensor: ev.Tensor, Node: ev.Node, Bytes: ev.Bytes,
-		Used: ev.Used, Free: ev.Free, Lrg: ev.LargestFree, Host: ev.HostUsed,
-		Detail: ev.Detail,
-	}
+// appendEventLine appends ev's JSON line, newline included.
+func appendEventLine(b []byte, ev Event) []byte {
+	b = append(b, `{"type":"event","kind":"`...)
+	b = append(b, kindName(ev.Kind)...)
+	b = append(b, '"')
+	b = optString(b, `,"cat":`, ev.Cat)
+	b = optString(b, `,"name":`, ev.Name)
+	b = optString(b, `,"lane":`, ev.Lane)
+	b = optString(b, `,"group":`, ev.Group)
+	b = appendInt(b, `,"start":`, int64(ev.Start))
+	b = optInt(b, `,"end":`, int64(ev.End))
+	b = optInt(b, `,"queued":`, int64(ev.Queued))
+	b = optInt(b, `,"iter":`, int64(ev.Iter))
+	b = optString(b, `,"tensor":`, ev.Tensor)
+	b = optString(b, `,"node":`, ev.Node)
+	b = optInt(b, `,"bytes":`, ev.Bytes)
+	b = optInt(b, `,"used":`, ev.Used)
+	b = optInt(b, `,"free":`, ev.Free)
+	b = optInt(b, `,"largestFree":`, ev.LargestFree)
+	b = optInt(b, `,"hostUsed":`, ev.HostUsed)
+	b = optString(b, `,"detail":`, ev.Detail)
+	return append(b, "}\n"...)
 }
 
-func decisionRecord(d Decision) jsonlDecision {
-	return jsonlDecision{
-		Type: "decision", Iter: d.Iter, At: int64(d.At),
-		Policy: d.Policy, Group: d.Group, Tensor: d.Tensor, Action: d.Action,
-		Class: d.Class, Reason: d.Reason,
-		FreeTime: int64(d.FreeTime), MSPS: d.MSPS, BackAccess: int64(d.BackAccess),
-		Candidates: d.Candidates, Bytes: d.Bytes,
-		CommSlowdown: d.CommSlowdown, CommUntil: int64(d.CommUntil),
+// appendDecisionLine appends d's JSON line, newline included. A NaN or
+// infinite MSPS or CommSlowdown cannot be encoded: b comes back
+// unchanged with encoding/json's error.
+func appendDecisionLine(b []byte, d Decision) ([]byte, error) {
+	if err := checkFloat(d.MSPS); err != nil {
+		return b, err
 	}
+	if err := checkFloat(d.CommSlowdown); err != nil {
+		return b, err
+	}
+	b = append(b, `{"type":"decision"`...)
+	b = optInt(b, `,"iter":`, int64(d.Iter))
+	b = appendInt(b, `,"at":`, int64(d.At))
+	b = optString(b, `,"policy":`, d.Policy)
+	b = optString(b, `,"group":`, d.Group)
+	b = optString(b, `,"tensor":`, d.Tensor)
+	b = appendString(append(b, `,"action":`...), d.Action)
+	b = optString(b, `,"class":`, d.Class)
+	b = optString(b, `,"reason":`, d.Reason)
+	b = optInt(b, `,"freeTime":`, int64(d.FreeTime))
+	b = optFloat(b, `,"msps":`, d.MSPS)
+	b = optInt(b, `,"backAccess":`, int64(d.BackAccess))
+	b = optInt(b, `,"candidates":`, int64(d.Candidates))
+	b = optInt(b, `,"bytes":`, d.Bytes)
+	b = optFloat(b, `,"commSlowdown":`, d.CommSlowdown)
+	b = optInt(b, `,"commUntil":`, int64(d.CommUntil))
+	return append(b, "}\n"...), nil
 }
 
 // WriteJSONL streams events as JSON lines.
 func WriteJSONL(w io.Writer, events []Event) error {
-	enc := json.NewEncoder(w)
+	b := make([]byte, 0, flushAt+1024)
 	for _, ev := range events {
-		if err := enc.Encode(eventRecord(ev)); err != nil {
-			return err
+		if b = appendEventLine(b, ev); len(b) >= flushAt {
+			if _, err := w.Write(b); err != nil {
+				return err
+			}
+			b = b[:0]
 		}
 	}
-	return nil
+	return writeRest(w, b, nil)
 }
 
-// WriteDecisionsJSONL streams audit-log decisions as JSON lines.
+// WriteDecisionsJSONL streams audit-log decisions as JSON lines. A
+// decision that cannot be encoded ends the stream after the lines
+// before it, with the encoding error.
 func WriteDecisionsJSONL(w io.Writer, decisions []Decision) error {
-	enc := json.NewEncoder(w)
+	b := make([]byte, 0, flushAt+1024)
+	var encErr error
 	for _, d := range decisions {
-		if err := enc.Encode(decisionRecord(d)); err != nil {
+		if b, encErr = appendDecisionLine(b, d); encErr != nil {
+			break
+		}
+		if len(b) >= flushAt {
+			if _, err := w.Write(b); err != nil {
+				return err
+			}
+			b = b[:0]
+		}
+	}
+	return writeRest(w, b, encErr)
+}
+
+// writeRest writes what is left in b, if anything, and then reports
+// the write error or else encErr.
+func writeRest(w io.Writer, b []byte, encErr error) error {
+	if len(b) > 0 {
+		if _, err := w.Write(b); err != nil {
 			return err
 		}
 	}
-	return nil
+	return encErr
 }
 
 // JSONLTracer is a Tracer that streams every event and decision to w as
-// it is emitted, one JSON line each, instead of buffering them in
+// it is emitted, one JSON line per Write, instead of buffering them in
 // memory. Encoding errors are sticky: the first one is kept, later
 // emissions become no-ops, and Err reports it after the run — Emit and
 // Decide cannot return errors without the executor knowing tracing
 // exists.
 type JSONLTracer struct {
 	mu  sync.Mutex
-	enc *json.Encoder
+	w   io.Writer
+	buf []byte // reused line buffer
 	err error
 }
 
@@ -128,14 +143,15 @@ var _ Tracer = (*JSONLTracer)(nil)
 
 // NewJSONLTracer returns a tracer streaming to w.
 func NewJSONLTracer(w io.Writer) *JSONLTracer {
-	return &JSONLTracer{enc: json.NewEncoder(w)}
+	return &JSONLTracer{w: w}
 }
 
 // Emit implements Tracer.
 func (t *JSONLTracer) Emit(ev Event) {
 	t.mu.Lock()
 	if t.err == nil {
-		t.err = t.enc.Encode(eventRecord(ev))
+		t.buf = appendEventLine(t.buf[:0], ev)
+		_, t.err = t.w.Write(t.buf)
 	}
 	t.mu.Unlock()
 }
@@ -144,7 +160,9 @@ func (t *JSONLTracer) Emit(ev Event) {
 func (t *JSONLTracer) Decide(d Decision) {
 	t.mu.Lock()
 	if t.err == nil {
-		t.err = t.enc.Encode(decisionRecord(d))
+		if t.buf, t.err = appendDecisionLine(t.buf[:0], d); t.err == nil {
+			_, t.err = t.w.Write(t.buf)
+		}
 	}
 	t.mu.Unlock()
 }

@@ -214,14 +214,16 @@ func (s *Server) abandon(e *runEntry) {
 		Err: fmt.Errorf("serve: run abandoned: %w", context.Canceled)})
 }
 
+// finish counts the run before completing it, so a waiter woken by the
+// completion already sees the run in /v1/stats and /metrics.
 func (s *Server) finish(e *runEntry, res bench.Result) {
-	e.complete(res)
 	if res.OK {
 		s.metrics.Add("serve/completed", 1)
 	} else {
 		s.metrics.Add("serve/failed", 1)
 	}
 	s.metrics.Observe("serve/run-latency", sim.Time(time.Since(e.submitted)))
+	e.complete(res)
 	s.inflight.Done()
 }
 

@@ -32,8 +32,8 @@ func statusString(s int32) string {
 
 // runEntry is one submitted run: the canonical config it executes, the
 // live event hub feeding its progress stream, the trace collector, and
-// — once done — the result with its canonical JSON encoding. done
-// closes exactly once, when result and resultJSON are set.
+// — once done — the result's canonical JSON encoding. done closes
+// exactly once, when resultJSON is set.
 type runEntry struct {
 	id  string
 	cfg bench.RunConfig
@@ -47,7 +47,6 @@ type runEntry struct {
 	done      chan struct{}
 
 	mu         sync.Mutex
-	result     bench.Result
 	resultJSON []byte
 }
 
@@ -65,7 +64,7 @@ func newRunEntry(id string, cfg bench.RunConfig) *runEntry {
 	}
 }
 
-// complete records the result, closes the event stream and wakes every
+// complete encodes the result, closes the event stream and wakes every
 // waiter. It is idempotent-hostile by design: calling it twice is a
 // bug, and the double close of done would panic loudly.
 func (e *runEntry) complete(res bench.Result) {
@@ -76,7 +75,6 @@ func (e *runEntry) complete(res bench.Result) {
 		js = []byte(fmt.Sprintf("{\"ok\":false,\"error\":%q}\n", err.Error()))
 	}
 	e.mu.Lock()
-	e.result = res
 	e.resultJSON = js
 	e.mu.Unlock()
 	e.status.Store(statusDone)
