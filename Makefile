@@ -1,13 +1,18 @@
 # CI entry points. `make check` is what the repo considers green:
-# vet + build + full tests (the byte-identical replays across -jobs
+# gofmt + vet + build + full tests (the byte-identical replays across -jobs
 # live there, in TestReplayAcrossJobs) + the race detector at several
 # CPU counts + the chaos soak suite + the observability smoke + the
 # perf-regression gate + vet and tests of the benchmark module.
 GO ?= go
 
-.PHONY: check vet build test race soak bench goldens profile-smoke fuzz-smoke gate hotpath-profiles perfbench-check
+.PHONY: check fmt vet build test race soak bench goldens profile-smoke fuzz-smoke gate hotpath-profiles perfbench-check
 
-check: vet build test race soak profile-smoke gate perfbench-check
+check: fmt vet build test race soak profile-smoke gate perfbench-check
+
+# fmt fails when any Go file in the tree, the benchmark module included,
+# is not gofmt-formatted.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...

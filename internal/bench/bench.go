@@ -151,14 +151,13 @@ func buildOptions(mode exec.Mode) graph.BuildOptions {
 }
 
 // execConfig assembles the executor configuration — policy included —
-// for one run. g is nil on the dynamic path, where the graph changes per
-// shape signature: the graph-keyed baseline policies (vDNN, SuperNeurons,
-// the checkpointing baselines) cannot follow a moving graph and are
-// rejected there, while TF-ori and the Capuchin variants are
-// graph-agnostic (Capuchin re-keys its plan per signature). extra, when
-// non-nil, receives the run's live event stream alongside whatever
-// Profile wires up (the RunTraced path).
-func execConfig(cfg RunConfig, g *graph.Graph, extra obs.Tracer) (exec.Config, *core.Capuchin, *obs.Collector, *obs.Metrics, error) {
+// for one run, leaving Tracer and Metrics to the caller. g is nil on the
+// dynamic path, where the graph changes per shape signature: the
+// graph-keyed baseline policies (vDNN, SuperNeurons, the checkpointing
+// baselines) cannot follow a moving graph and are rejected there, while
+// TF-ori and the Capuchin variants are graph-agnostic (Capuchin re-keys
+// its plan per signature).
+func execConfig(cfg RunConfig, g *graph.Graph) (exec.Config, *core.Capuchin, error) {
 	ec := exec.Config{
 		Device:      cfg.Device,
 		Mode:        cfg.Mode,
@@ -167,35 +166,22 @@ func execConfig(cfg RunConfig, g *graph.Graph, extra obs.Tracer) (exec.Config, *
 		HostMemory:  cfg.HostMemory,
 		Faults:      cfg.Faults,
 	}
-	var col *obs.Collector
-	var met *obs.Metrics
-	if cfg.Profile {
-		col = obs.NewCollector()
-		met = obs.NewMetrics()
-		ec.Tracer = obs.Tee(col, extra)
-		ec.Metrics = met
-	} else if extra != nil {
-		ec.Tracer = extra
-	}
 	spec, ok := exec.LookupPolicy(string(cfg.System))
 	if !ok {
-		return ec, nil, nil, nil, fmt.Errorf("bench: unknown system %q", cfg.System)
+		return ec, nil, fmt.Errorf("bench: unknown system %q", cfg.System)
 	}
 	if g == nil && !spec.GraphAgnostic {
-		return ec, nil, nil, nil, fmt.Errorf("bench: system %q keys its policy to one graph and cannot follow a dynamic shape schedule", cfg.System)
+		return ec, nil, fmt.Errorf("bench: system %q keys its policy to one graph and cannot follow a dynamic shape schedule", cfg.System)
 	}
 	pol, err := spec.Build(exec.BuildContext{Graph: g, Device: cfg.Device})
 	if err != nil {
-		return ec, nil, nil, nil, fmt.Errorf("bench: building system %q: %w", cfg.System, err)
+		return ec, nil, fmt.Errorf("bench: building system %q: %w", cfg.System, err)
 	}
 	ec.Policy = pol
-	ec.CoupledSwap = spec.CoupledSwap
+	ec.CoupledSwap = spec.CoupledSwap || cfg.ForceCoupledSwap
 	ec.CollectiveRecompute = spec.CollectiveRecompute
 	cap, _ := pol.(*core.Capuchin)
-	if cfg.ForceCoupledSwap {
-		ec.CoupledSwap = true
-	}
-	return ec, cap, col, met, nil
+	return ec, cap, nil
 }
 
 // Run executes one configuration.
@@ -209,7 +195,29 @@ func Run(cfg RunConfig) Result { return run(cfg, nil) }
 // capuchin-serve stream live progress without perturbing results.
 func RunTraced(cfg RunConfig, tr obs.Tracer) Result { return run(cfg, tr) }
 
-// run is the shared body of Run and RunTraced.
+// engine is one way of executing a configuration: a single session, the
+// dynamic-shape engine (dynamic.go) or a data-parallel cluster
+// (cluster.go). run owns everything the three share; an engine keeps
+// only its construction, its per-iteration step and its own report.
+type engine interface {
+	// step runs the next iteration. It returns the iteration's
+	// Result.Stats entry (replica 0's on a cluster) and the samples per
+	// second it trained on all devices together.
+	step() (exec.IterStats, float64, error)
+	// finish fills the Result fields the engine owns: Session, and its
+	// own report if it has one.
+	finish(res *Result)
+}
+
+// configureFunc returns the executor configuration of one session — a
+// fresh policy with the run's tracer and metrics attached — given its
+// graph (nil on the dynamic path).
+type configureFunc func(g *graph.Graph) (exec.Config, error)
+
+// run is the one body of Run and RunTraced for every engine: defaults,
+// model lookup, profiling, policy construction, the iteration loop and
+// the Result. A failed run still carries its partial Stats, its Profile
+// and its engine report.
 func run(cfg RunConfig, extra obs.Tracer) Result {
 	res := Result{Config: cfg}
 	if cfg.Iterations == 0 {
@@ -220,50 +228,101 @@ func run(cfg RunConfig, extra obs.Tracer) Result {
 		res.Err = err
 		return res
 	}
-	if cfg.Devices > 1 {
-		if cfg.Schedule != "" {
-			res.Err = fmt.Errorf("bench: %w", ErrDynamicCluster)
-			return res
+	if cfg.Devices > 1 && cfg.Schedule != "" {
+		res.Err = fmt.Errorf("bench: %w", ErrDynamicCluster)
+		return res
+	}
+
+	// One collector and registry observe every session of the run; extra
+	// (RunTraced) sees the same stream.
+	tracer := extra
+	var col *obs.Collector
+	var met *obs.Metrics
+	if cfg.Profile {
+		col, met = obs.NewCollector(), obs.NewMetrics()
+		tracer = obs.Tee(col, extra)
+	}
+	// The first policy built is the one Result reports: the only one, or
+	// replica 0's on a cluster.
+	var capuchin *core.Capuchin
+	configure := func(g *graph.Graph) (exec.Config, error) {
+		ec, cap, err := execConfig(cfg, g)
+		ec.Tracer, ec.Metrics = tracer, met
+		if capuchin == nil {
+			capuchin = cap
 		}
-		return runCluster(cfg, spec, res, extra)
+		return ec, err
 	}
-	if cfg.Schedule != "" {
-		return runDynamic(cfg, spec, res, extra)
+
+	var e engine
+	switch {
+	case cfg.Devices > 1:
+		e, err = newClusterEngine(cfg, spec, tracer, configure)
+	case cfg.Schedule != "":
+		e, err = newDynamicEngine(cfg, spec, configure)
+	default:
+		e, err = newStaticEngine(cfg, spec, configure)
 	}
-	g, err := spec.Build(cfg.Batch, buildOptions(cfg.Mode))
 	if err != nil {
 		res.Err = err
 		return res
 	}
-	ec, cap, col, met, err := execConfig(cfg, g, extra)
-	if err != nil {
-		res.Err = err
-		return res
+
+	res.Stats = make([]exec.IterStats, 0, cfg.Iterations)
+	var throughput float64
+	for i := 0; i < cfg.Iterations; i++ {
+		var st exec.IterStats
+		st, throughput, err = e.step()
+		res.Stats = append(res.Stats, st)
+		if err != nil {
+			res.Err = err
+			break
+		}
 	}
-	s, err := exec.NewSession(g, ec)
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	res.Session = s
-	stats, err := s.Run(cfg.Iterations)
-	res.Stats = stats
 	if col != nil {
 		res.Profile = newProfileReport(col, met)
 	}
-	if err != nil {
-		res.Err = err
-		return res
+	if res.Err == nil {
+		res.OK = true
+		res.Steady = res.Stats[len(res.Stats)-1]
+		res.Throughput = throughput
+		if capuchin != nil {
+			res.Plan = capuchin.Summary()
+			res.capuchin = capuchin
+		}
 	}
-	res.OK = true
-	res.Steady = stats[len(stats)-1]
-	res.Throughput = res.Steady.Throughput(cfg.Batch)
-	if cap != nil {
-		res.Plan = cap.Summary()
-		res.capuchin = cap
-	}
+	e.finish(&res)
 	return res
 }
+
+// staticEngine runs one session over one graph.
+type staticEngine struct {
+	s     *exec.Session
+	batch int64
+}
+
+func newStaticEngine(cfg RunConfig, spec models.Spec, configure configureFunc) (engine, error) {
+	g, err := spec.Build(cfg.Batch, buildOptions(cfg.Mode))
+	if err != nil {
+		return nil, err
+	}
+	ec, err := configure(g)
+	if err != nil {
+		return nil, err
+	}
+	s, err := exec.NewSession(g, ec)
+	if err != nil {
+		return nil, err
+	}
+	return &staticEngine{s: s, batch: cfg.Batch}, nil
+}
+
+func (e *staticEngine) step() (exec.IterStats, float64, error) {
+	st, err := e.s.RunIteration()
+	return st, st.Throughput(e.batch), err
+}
+
+func (e *staticEngine) finish(res *Result) { res.Session = e.s }
 
 // Fits reports whether the configuration completes without OOM.
 func Fits(cfg RunConfig) bool {

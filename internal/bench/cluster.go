@@ -29,78 +29,52 @@ type ClusterReport struct {
 	Steady cluster.IterStats
 }
 
-// runCluster executes one multi-device configuration: N replicas of the
-// model over a shared PCIe-ring interconnect. extra, when non-nil,
-// receives the live (replica-grouped) event stream (RunTraced).
-func runCluster(cfg RunConfig, spec models.Spec, res Result, extra obs.Tracer) Result {
-	var col *obs.Collector
-	var met *obs.Metrics
-	if cfg.Profile {
-		col = obs.NewCollector()
-		met = obs.NewMetrics()
-	}
-	baseCfg := cfg
-	baseCfg.Profile = false // per-replica tracing is wired below, not via execConfig
+// clusterEngine runs N replicas of the model over a shared PCIe-ring
+// interconnect.
+type clusterEngine struct {
+	cl    *cluster.Cluster
+	batch int64
+	iters []cluster.IterStats
+}
+
+func newClusterEngine(cfg RunConfig, spec models.Spec, tracer obs.Tracer, configure configureFunc) (engine, error) {
 	cl, err := cluster.New(cluster.Config{
 		Devices:      cfg.Devices,
 		Interconnect: hw.PCIeRing(),
 		CommAware:    !cfg.CommOblivious,
-		Tracer:       obs.Tee(collectorOrNil(col), extra),
+		Tracer:       tracer, // the cluster groups it per replica
 		Build: func(replica int) (*graph.Graph, error) {
 			return spec.Build(cfg.Batch, buildOptions(cfg.Mode))
 		},
 		Exec: func(replica int, g *graph.Graph) (exec.Config, error) {
-			ec, cap, _, _, err := execConfig(baseCfg, g, nil)
-			if err != nil {
-				return ec, err
-			}
-			ec.Metrics = met
-			if replica == 0 && cap != nil {
-				res.capuchin = cap
-			}
-			return ec, nil
+			return configure(g)
 		},
 	})
 	if err != nil {
-		res.Err = err
-		return res
+		return nil, err
 	}
-	res.Session = cl.Replica(0)
-	stats, err := cl.Run(cfg.Iterations)
-	rep := &ClusterReport{Devices: cl.Devices(), Iters: stats}
-	res.Cluster = rep
-	for _, st := range stats {
-		res.Stats = append(res.Stats, firstReplica(st))
-	}
-	if col != nil {
-		res.Profile = newProfileReport(col, met)
-	}
-	if err != nil {
-		res.Err = err
-		res.capuchin = nil
-		return res
-	}
-	res.OK = true
-	rep.Steady = stats[len(stats)-1]
-	res.Steady = firstReplica(rep.Steady)
-	// Throughput counts the global batch: N replicas each step cfg.Batch
-	// samples per barrier-to-barrier interval.
-	if d := rep.Steady.Duration; d > 0 {
-		res.Throughput = float64(cfg.Batch*int64(cl.Devices())) / d.Seconds()
-	}
-	if res.capuchin != nil {
-		res.Plan = res.capuchin.Summary()
-	}
-	return res
+	return &clusterEngine{cl: cl, batch: cfg.Batch, iters: make([]cluster.IterStats, 0, cfg.Iterations)}, nil
 }
 
-// collectorOrNil converts a possibly-nil *Collector to the Tracer
-// interface without wrapping nil in a non-nil interface value.
-func collectorOrNil(col *obs.Collector) obs.Tracer {
-	if col == nil {
-		return nil
+// step counts the global batch: every replica steps its own batch per
+// barrier-to-barrier interval.
+func (e *clusterEngine) step() (exec.IterStats, float64, error) {
+	st, err := e.cl.RunIteration()
+	e.iters = append(e.iters, st)
+	var throughput float64
+	if st.Duration > 0 {
+		throughput = float64(e.batch*int64(e.cl.Devices())) / st.Duration.Seconds()
 	}
-	return col
+	return firstReplica(st), throughput, err
+}
+
+func (e *clusterEngine) finish(res *Result) {
+	res.Session = e.cl.Replica(0)
+	rep := &ClusterReport{Devices: e.cl.Devices(), Iters: e.iters}
+	if res.OK {
+		rep.Steady = e.iters[len(e.iters)-1]
+	}
+	res.Cluster = rep
 }
 
 // firstReplica returns replica 0's iteration statistics, or a zero value

@@ -6,7 +6,6 @@ import (
 	"capuchin/internal/exec"
 	"capuchin/internal/graph"
 	"capuchin/internal/models"
-	"capuchin/internal/obs"
 	"capuchin/internal/sim"
 )
 
@@ -28,20 +27,20 @@ type DynamicReport struct {
 	Buckets []exec.BucketStats
 }
 
-// runDynamic executes one configuration through the dynamic engine. It
-// mirrors the static tail of Run: stats, steady state, throughput and
-// plan summary are populated the same way, plus the DynamicReport.
-// extra, when non-nil, receives the live event stream (RunTraced).
-func runDynamic(cfg RunConfig, spec models.Spec, res Result, extra obs.Tracer) Result {
+// dynamicEngine runs a shape schedule through exec.DynamicSession.
+type dynamicEngine struct {
+	d     *exec.DynamicSession
+	sched models.Schedule
+}
+
+func newDynamicEngine(cfg RunConfig, spec models.Spec, configure configureFunc) (engine, error) {
 	sched, err := models.NewSchedule(cfg.Schedule, spec, cfg.Batch, cfg.ScheduleSeed, cfg.SchedulePeriod)
 	if err != nil {
-		res.Err = err
-		return res
+		return nil, err
 	}
-	ec, cap, col, met, err := execConfig(cfg, nil, extra)
+	ec, err := configure(nil)
 	if err != nil {
-		res.Err = err
-		return res
+		return nil, err
 	}
 	d, err := exec.NewDynamicSession(exec.DynamicConfig{
 		Base: ec,
@@ -51,29 +50,21 @@ func runDynamic(cfg RunConfig, spec models.Spec, res Result, extra obs.Tracer) R
 		Schedule: sched,
 	})
 	if err != nil {
-		res.Err = err
-		return res
+		return nil, err
 	}
-	stats, err := d.Run(cfg.Iterations)
-	res.Stats = stats
-	res.Session = d.Active()
-	res.Dynamic = &DynamicReport{Stats: d.Stats(), Buckets: d.Buckets()}
-	if col != nil {
-		res.Profile = newProfileReport(col, met)
-	}
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	res.OK = true
-	res.Steady = stats[len(stats)-1]
-	steadyBatch, _ := sched.At(cfg.Iterations - 1)
-	res.Throughput = res.Steady.Throughput(steadyBatch)
-	if cap != nil {
-		res.Plan = cap.Summary()
-		res.capuchin = cap
-	}
-	return res
+	return &dynamicEngine{d: d, sched: sched}, nil
+}
+
+// step trains the iteration's scheduled batch.
+func (e *dynamicEngine) step() (exec.IterStats, float64, error) {
+	st, err := e.d.RunIteration()
+	batch, _ := e.sched.At(st.Iter)
+	return st, st.Throughput(batch), err
+}
+
+func (e *dynamicEngine) finish(res *Result) {
+	res.Session = e.d.Active()
+	res.Dynamic = &DynamicReport{Stats: e.d.Stats(), Buckets: e.d.Buckets()}
 }
 
 // dynamicWorkloads picks the models the Dynamic experiment drives: batch

@@ -1,10 +1,14 @@
 package bench
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
+	"capuchin/internal/exec"
 	"capuchin/internal/hw"
+	"capuchin/internal/models"
+	"capuchin/internal/obs"
 )
 
 // profiledCfg is a small memory-pressured Capuchin cell: cheap enough for
@@ -19,28 +23,71 @@ func profiledCfg() RunConfig {
 }
 
 // TestProfileNeutrality pins the bench-level half of the zero-overhead
-// contract: a profiled run reports exactly the IterStats of an unprofiled
-// one — virtual time, peaks and swap counters included.
+// contract on every engine — static, dynamic (constant schedule) and a
+// 2-device cluster: Run, RunTraced into a Collector and a Profile:true
+// run report identical outcomes, and an OOM run still returns its
+// profile and partial statistics.
 func TestProfileNeutrality(t *testing.T) {
-	base := Run(profiledCfg())
-	if !base.OK {
-		t.Fatalf("baseline run failed: %v", base.Err)
+	dynamic := profiledCfg()
+	dynamic.Schedule = models.ScheduleConstant
+	cluster := profiledCfg()
+	cluster.Devices = 2
+	for _, tc := range []struct {
+		name string
+		cfg  RunConfig
+	}{
+		{"static", profiledCfg()},
+		{"dynamic", dynamic},
+		{"cluster", cluster},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			oom := tc.cfg
+			oom.System = SystemTF // unmanaged: this batch cannot fit
+			oom.Batch *= 4
+			for _, cfg := range []RunConfig{tc.cfg, oom} {
+				base := Run(cfg)
+				col := obs.NewCollector()
+				traced := RunTraced(cfg, col)
+				pcfg := cfg
+				pcfg.Profile = true
+				prof := Run(pcfg)
+
+				if cfg.System == SystemTF {
+					if base.OK || !errors.Is(base.Err, exec.ErrIterationOOM) {
+						t.Fatalf("%s: want an iteration OOM, got ok=%v err=%v", cfg.System, base.OK, base.Err)
+					}
+					if len(prof.Stats) == 0 {
+						t.Errorf("%s: failed run lost its partial Stats", cfg.System)
+					}
+				} else if !base.OK {
+					t.Fatalf("%s: baseline run failed: %v", cfg.System, base.Err)
+				}
+				if col.Len() == 0 {
+					t.Errorf("%s: RunTraced delivered no events", cfg.System)
+				}
+				if prof.Profile == nil {
+					t.Fatalf("%s: profiled run returned no ProfileReport", cfg.System)
+				}
+				if base.Profile != nil || traced.Profile != nil {
+					t.Errorf("%s: unprofiled run carries a ProfileReport", cfg.System)
+				}
+				for _, r := range []struct {
+					name string
+					res  Result
+				}{{"traced", traced}, {"profiled", prof}} {
+					if !reflect.DeepEqual(outcome(base), outcome(r.res)) {
+						t.Errorf("%s: %s run changed outcomes:\n base %+v\n %s %+v",
+							cfg.System, r.name, outcome(base), r.name, outcome(r.res))
+					}
+				}
+			}
+		})
 	}
-	cfg := profiledCfg()
-	cfg.Profile = true
-	prof := Run(cfg)
-	if !prof.OK {
-		t.Fatalf("profiled run failed: %v", prof.Err)
-	}
-	if !reflect.DeepEqual(base.Stats, prof.Stats) {
-		t.Errorf("profiling changed run outcomes:\n base     %+v\n profiled %+v", base.Stats, prof.Stats)
-	}
-	if prof.Profile == nil {
-		t.Fatal("profiled run returned no ProfileReport")
-	}
-	if base.Profile != nil {
-		t.Error("unprofiled run carries a ProfileReport")
-	}
+}
+
+// outcome is the part of a Result that tracing must not change.
+func outcome(r Result) []any {
+	return []any{r.OK, r.Stats, r.Steady, r.Throughput, r.Plan, r.Dynamic, r.Cluster}
 }
 
 // TestProfileReportContents checks the report is populated: events,

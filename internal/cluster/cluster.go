@@ -162,21 +162,12 @@ func (c *Cluster) Devices() int { return len(c.replicas) }
 // Replica exposes one replica's session for inspection.
 func (c *Cluster) Replica(i int) *exec.Session { return c.replicas[i].sess }
 
-// sessionNow reports a session's current virtual time: the front of its
-// furthest-advanced stream.
-func sessionNow(s *exec.Session) sim.Time {
-	compute, h2d, d2h := s.Streams()
-	t := compute.AvailableAt()
-	t = sim.MaxTime(t, h2d.AvailableAt())
-	return sim.MaxTime(t, d2h.AvailableAt())
-}
-
 // RunIteration executes one data-parallel iteration: install the window
 // forecast, run every replica, ring all-reduce the gradient buckets,
 // advance everyone to the gradient barrier and roll the forecast.
 func (c *Cluster) RunIteration() (IterStats, error) {
 	st := IterStats{Iter: c.iter}
-	iterStart := sessionNow(c.replicas[0].sess)
+	iterStart := c.replicas[0].sess.Frontier()
 
 	// Install the one-step-lag forecast, rebased to this iteration.
 	for _, r := range c.replicas {
@@ -209,7 +200,7 @@ func (c *Cluster) RunIteration() (IterStats, error) {
 	// Ring all-reduce the gradient buckets over the shared interconnect.
 	barrier := sim.Time(0)
 	for _, r := range c.replicas {
-		barrier = sim.MaxTime(barrier, sessionNow(r.sess))
+		barrier = sim.MaxTime(barrier, r.sess.Frontier())
 	}
 	var realized []exec.CommWindow
 	if len(c.replicas) > 1 {
@@ -268,19 +259,6 @@ func (c *Cluster) RunIteration() (IterStats, error) {
 	}
 	c.iter++
 	return st, nil
-}
-
-// Run executes n iterations, stopping at the first failure.
-func (c *Cluster) Run(n int) ([]IterStats, error) {
-	stats := make([]IterStats, 0, n)
-	for i := 0; i < n; i++ {
-		st, err := c.RunIteration()
-		stats = append(stats, st)
-		if err != nil {
-			return stats, err
-		}
-	}
-	return stats, nil
 }
 
 // bucket is one gradient fusion bucket: payload size and the virtual

@@ -65,6 +65,19 @@ func newTestCluster(t *testing.T, devices int, commAware bool) *Cluster {
 	return c
 }
 
+// run executes n iterations, stopping at the first failure.
+func run(c *Cluster, n int) ([]IterStats, error) {
+	var stats []IterStats
+	for i := 0; i < n; i++ {
+		st, err := c.RunIteration()
+		stats = append(stats, st)
+		if err != nil {
+			return stats, err
+		}
+	}
+	return stats, nil
+}
+
 // TestSingleDeviceIdentity is the differential oracle the issue demands:
 // a one-device cluster (comm-aware or not) must be byte-identical to a
 // plain session — same graph, same config, same per-iteration stats.
@@ -80,7 +93,7 @@ func TestSingleDeviceIdentity(t *testing.T) {
 	}
 	for _, aware := range []bool{false, true} {
 		c := newTestCluster(t, 1, aware)
-		stats, err := c.Run(iters)
+		stats, err := run(c, iters)
 		if err != nil {
 			t.Fatalf("commAware=%v: %v", aware, err)
 		}
@@ -161,7 +174,7 @@ func TestTwoDeviceIteration(t *testing.T) {
 
 func TestClusterDeterminism(t *testing.T) {
 	run := func() []IterStats {
-		stats, err := newTestCluster(t, 2, true).Run(3)
+		stats, err := run(newTestCluster(t, 2, true), 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,7 +257,7 @@ func TestWindowModel(t *testing.T) {
 // same workload on more devices spends at least as long communicating.
 func TestMoreDevicesMoreComm(t *testing.T) {
 	steady := func(devices int) IterStats {
-		stats, err := newTestCluster(t, devices, true).Run(2)
+		stats, err := run(newTestCluster(t, devices, true), 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,7 +293,7 @@ func TestSharedMetricsRegistry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stats, err := c.Run(2)
+		stats, err := run(c, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

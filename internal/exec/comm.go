@@ -86,6 +86,20 @@ func (s *Session) deferForComm(st *sim.Stream, link hw.Link, bytes int64, earlie
 	return earliest, w, true
 }
 
+// Frontier is the session's virtual-time frontier: the front of its
+// furthest-advanced stream. Between iterations the streams are quiescent,
+// so this is the session's "now" — where a gradient barrier or a
+// signature switch picks up.
+func (s *Session) Frontier() sim.Time {
+	var t sim.Time
+	for _, st := range []*sim.Stream{s.compute, s.h2d, s.d2h, s.cpu} {
+		if st != nil {
+			t = sim.MaxTime(t, st.AvailableAt())
+		}
+	}
+	return t
+}
+
 // AdvanceTo stalls every stream of the session until t if t is in its
 // future — the cluster's gradient-barrier synchronization point, and the
 // dynamic engine's fast-forward on signature switches.

@@ -157,28 +157,29 @@ func TestDynamicSwitchingDeterministicAndCached(t *testing.T) {
 
 func TestDynamicSessionLRUEviction(t *testing.T) {
 	cfg := dynConfig(t, 1*hw.GiB)
-	cfg.MaxSessions = 2
-	// Three signatures round-robin: the cache can hold only two, so each
-	// revisit of an evicted signature rebuilds its session.
+	// One more signature than the cache holds, round-robin: each revisit
+	// finds its session evicted and rebuilds it.
+	sigs := maxSessions + 1
 	cfg.Schedule = sched(func(iter int) (int64, int64) {
-		return int64(4 + 2*(iter%3)), 0
+		return int64(4 + 2*(iter%sigs)), 0
 	})
 	d, err := NewDynamicSession(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Run(9); err != nil {
+	if _, err := d.Run(2 * sigs); err != nil {
 		t.Fatal(err)
 	}
 	ds := d.Stats()
-	if ds.Signatures != 3 {
-		t.Errorf("signatures = %d, want 3", ds.Signatures)
+	if ds.Signatures != sigs {
+		t.Errorf("signatures = %d, want %d", ds.Signatures, sigs)
 	}
-	if ds.SessionEvicts == 0 {
-		t.Error("no session evictions with MaxSessions=2 and 3 signatures")
+	if want := 2*sigs - maxSessions; ds.SessionEvicts != want {
+		t.Errorf("session evictions = %d, want %d with %d signatures over a cache of %d",
+			ds.SessionEvicts, want, sigs, maxSessions)
 	}
-	if ds.SessionBuilds <= 3 {
-		t.Errorf("session builds = %d, want rebuilds beyond the initial 3", ds.SessionBuilds)
+	if ds.SessionBuilds != 2*sigs {
+		t.Errorf("session builds = %d, want %d (every revisit rebuilds)", ds.SessionBuilds, 2*sigs)
 	}
 }
 
@@ -233,28 +234,27 @@ func TestDynamicReplannerSignatureFlow(t *testing.T) {
 }
 
 func TestStaleReason(t *testing.T) {
-	cfg := StalenessConfig{}.fill()
 	base := driftBaseline{accesses: 100, onDemand: 2, stall: sim.Millisecond}
 	ok := IterStats{Accesses: 100, OnDemandInCount: 2, StallTime: sim.Millisecond}
-	if r := staleReason(cfg, base, ok); r != "" {
+	if r := staleReason(base, ok); r != "" {
 		t.Errorf("steady iteration flagged stale: %q", r)
 	}
 	// 3% access drift is within the 5% tolerance; 10% is not.
-	if r := staleReason(cfg, base, IterStats{Accesses: 103, OnDemandInCount: 2}); r != "" {
+	if r := staleReason(base, IterStats{Accesses: 103, OnDemandInCount: 2}); r != "" {
 		t.Errorf("3%% drift flagged: %q", r)
 	}
-	if r := staleReason(cfg, base, IterStats{Accesses: 110, OnDemandInCount: 2}); r == "" {
+	if r := staleReason(base, IterStats{Accesses: 110, OnDemandInCount: 2}); r == "" {
 		t.Error("10% access drift not flagged")
 	}
 	// On-demand surge: >2x the floored baseline and above the minimum count.
-	if r := staleReason(cfg, base, IterStats{Accesses: 100, OnDemandInCount: 9}); r == "" {
+	if r := staleReason(base, IterStats{Accesses: 100, OnDemandInCount: 9}); r == "" {
 		t.Error("on-demand surge not flagged")
 	}
-	if r := staleReason(cfg, base, IterStats{Accesses: 100, OnDemandInCount: 3}); r != "" {
+	if r := staleReason(base, IterStats{Accesses: 100, OnDemandInCount: 3}); r != "" {
 		t.Errorf("mild on-demand uptick flagged: %q", r)
 	}
 	// Stall surge: far beyond baseline.
-	if r := staleReason(cfg, base, IterStats{Accesses: 100, OnDemandInCount: 2, StallTime: 20 * sim.Millisecond}); r == "" {
+	if r := staleReason(base, IterStats{Accesses: 100, OnDemandInCount: 2, StallTime: 20 * sim.Millisecond}); r == "" {
 		t.Error("stall surge not flagged")
 	}
 }
@@ -267,25 +267,23 @@ func TestStaleReason(t *testing.T) {
 // plan, burning a bounded re-measurement pass on nothing. Both
 // baselines are now floored at the configured absolute minimums.
 func TestStaleReasonZeroBaseline(t *testing.T) {
-	cfg := StalenessConfig{}.fill()
-
 	// Zero-stall baseline: 2ms of stall is noise, not staleness.
 	zeroStall := driftBaseline{accesses: 100, onDemand: 2, stall: 0}
-	if r := staleReason(cfg, zeroStall, IterStats{Accesses: 100, OnDemandInCount: 2, StallTime: 2 * sim.Millisecond}); r != "" {
+	if r := staleReason(zeroStall, IterStats{Accesses: 100, OnDemandInCount: 2, StallTime: 2 * sim.Millisecond}); r != "" {
 		t.Errorf("2ms stall against zero-stall baseline flagged: %q", r)
 	}
 	// A genuine surge still fires: beyond StallFactor * MinStall.
-	if r := staleReason(cfg, zeroStall, IterStats{Accesses: 100, OnDemandInCount: 2, StallTime: 5 * sim.Millisecond}); r == "" {
+	if r := staleReason(zeroStall, IterStats{Accesses: 100, OnDemandInCount: 2, StallTime: 5 * sim.Millisecond}); r == "" {
 		t.Error("genuine stall surge over zero baseline not flagged")
 	}
 
 	// Zero on-demand baseline: MinOnDemand swap-ins are noise.
 	zeroOD := driftBaseline{accesses: 100, onDemand: 0, stall: sim.Millisecond}
-	if r := staleReason(cfg, zeroOD, IterStats{Accesses: 100, OnDemandInCount: cfg.MinOnDemand, StallTime: sim.Millisecond}); r != "" {
-		t.Errorf("%d on-demand ins against zero baseline flagged: %q", cfg.MinOnDemand, r)
+	if r := staleReason(zeroOD, IterStats{Accesses: 100, OnDemandInCount: staleMinOnDemand, StallTime: sim.Millisecond}); r != "" {
+		t.Errorf("%d on-demand ins against zero baseline flagged: %q", staleMinOnDemand, r)
 	}
 	// A genuine surge still fires: beyond OnDemandFactor * MinOnDemand.
-	if r := staleReason(cfg, zeroOD, IterStats{Accesses: 100, OnDemandInCount: 9, StallTime: sim.Millisecond}); r == "" {
+	if r := staleReason(zeroOD, IterStats{Accesses: 100, OnDemandInCount: 9, StallTime: sim.Millisecond}); r == "" {
 		t.Error("genuine on-demand surge over zero baseline not flagged")
 	}
 }
@@ -293,7 +291,6 @@ func TestStaleReasonZeroBaseline(t *testing.T) {
 func TestCheckStalenessPatienceAndBound(t *testing.T) {
 	rp := &stubReplanner{planned: true}
 	d := &DynamicSession{
-		stale:     StalenessConfig{Patience: 2, MaxReplans: 1}.fill(),
 		rp:        rp,
 		baselines: make(map[string]driftBaseline),
 		active:    &dynSession{key: "b8"},
@@ -312,17 +309,28 @@ func TestCheckStalenessPatienceAndBound(t *testing.T) {
 	if _, ok := d.baselines["b8"]; ok {
 		t.Error("baseline not cleared on invalidation")
 	}
-	// MaxReplans caps further invalidations.
+	// Each re-planned baseline that drifts again is invalidated again,
+	// up to staleMaxReplans per run.
+	for i := 1; i < staleMaxReplans; i++ {
+		rp.planned = true
+		d.checkStaleness("b8", base)
+		d.checkStaleness("b8", drifted)
+		d.checkStaleness("b8", drifted)
+	}
+	if len(rp.invalidated) != staleMaxReplans {
+		t.Fatalf("invalidations = %d, want %d", len(rp.invalidated), staleMaxReplans)
+	}
+	// staleMaxReplans caps further invalidations.
 	rp.planned = true
 	d.checkStaleness("b8", base)
 	d.checkStaleness("b8", drifted)
 	d.checkStaleness("b8", drifted)
 	d.checkStaleness("b8", drifted)
-	if len(rp.invalidated) != 1 {
-		t.Errorf("invalidations = %d, want 1 (MaxReplans bound)", len(rp.invalidated))
+	if len(rp.invalidated) != staleMaxReplans {
+		t.Errorf("invalidations = %d, want %d (staleMaxReplans bound)", len(rp.invalidated), staleMaxReplans)
 	}
-	if d.stats.Invalidations != 1 {
-		t.Errorf("stats.Invalidations = %d, want 1", d.stats.Invalidations)
+	if d.stats.Invalidations != staleMaxReplans {
+		t.Errorf("stats.Invalidations = %d, want %d", d.stats.Invalidations, staleMaxReplans)
 	}
 }
 

@@ -685,7 +685,7 @@ func (s *Session) replay(t *tensor.Tensor, env *Env, depth int) (sim.Time, error
 			continue
 		}
 		keep := s.cfg.CollectiveRecompute && s.refs[in.Idx] > 0 &&
-			s.pool.FreeBytes() >= s.cfg.RecomputeHeadroom+in.Alloc.Size
+			s.pool.FreeBytes() >= s.dev.MemoryBytes/recomputeHeadroomDivisor+in.Alloc.Size
 		if keep {
 			continue
 		}

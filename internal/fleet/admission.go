@@ -17,14 +17,14 @@ import (
 // per-job kill budget.
 func (f *Fleet) Run() (Report, error) {
 	for _, j := range f.jobs {
-		f.q.push(j.Arrival, evArrive, j, j.gen)
+		f.schedule(j.Arrival, evArrive, j)
 	}
 	for {
-		ev, ok := f.q.pop()
+		at, ev, ok := f.q.Pop()
 		if !ok {
 			break
 		}
-		f.advance(ev.at)
+		f.advance(at)
 		j := ev.job
 		if ev.gen != j.gen {
 			continue // stale: the job was killed or preempted since
@@ -70,7 +70,7 @@ func (f *Fleet) onArrive(j *Job) {
 	// Sandbox warmup: the job spends WarmupIters instrumented iterations
 	// off-fleet, after which its measured peak feeds the predictor.
 	delay := sim.Time(f.cfg.WarmupIters) * j.Profile.IterTime
-	f.q.push(f.now+delay, evProfiled, j, j.gen)
+	f.schedule(f.now+delay, evProfiled, j)
 }
 
 // onProfiled moves a warmed-up job into the admission queue.
@@ -298,8 +298,8 @@ func (f *Fleet) startAttempt(j *Job, dev int, reserve int64) {
 		ramp = remaining
 	}
 	j.completeAt = f.now + sim.Time(remaining)*j.effIter
-	f.q.push(f.now+sim.Time(ramp)*j.effIter, evPeak, j, j.gen)
-	f.q.push(j.completeAt, evComplete, j, j.gen)
+	f.schedule(f.now+sim.Time(ramp)*j.effIter, evPeak, j)
+	f.schedule(j.completeAt, evComplete, j)
 
 	action := "admit"
 	if j.Cap > 0 {
@@ -380,7 +380,7 @@ func (f *Fleet) absorbCap(j *Job, slowdown float64) {
 	j.effIter = sim.Time(float64(j.Profile.IterTime) * slowdown)
 	remaining := j.Iters - j.DoneIters
 	j.completeAt = f.now + sim.Time(remaining)*j.effIter
-	f.q.push(j.completeAt, evComplete, j, j.gen)
+	f.schedule(j.completeAt, evComplete, j)
 	f.met.Add(mCapAbsorbs, 1)
 	f.emitInstant(j, j.Device, "admission", "absorb-cap", fmt.Sprintf("slowdown %.2fx", slowdown), j.Cap)
 	f.decide(j, "absorb-cap", fmt.Sprintf("cap %d (%.0f%% of peak), slowdown %.2fx", j.Cap, 100*float64(j.Cap)/float64(j.Actual), slowdown), j.Device, j.Cap)
@@ -462,7 +462,7 @@ func (f *Fleet) oomKill(j *Job, reason string) {
 	}
 	j.State = StateBackoff
 	f.met.Add(mRequeues, 1)
-	f.q.push(f.now+sim.Backoff(f.cfg.BackoffBase, j.Kills-1), evRequeue, j, j.gen)
+	f.schedule(f.now+sim.Backoff(f.cfg.BackoffBase, j.Kills-1), evRequeue, j)
 }
 
 // preemptFor finds a device where evicting strictly-lower-class jobs

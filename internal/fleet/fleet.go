@@ -431,7 +431,7 @@ type Fleet struct {
 	devs       []*device
 	fleetAlloc int64 // total fleet memory
 
-	q      *eventQueue
+	q      sim.Queue[event]
 	queued []*Job // admission queue, kept in priority order
 
 	// classUsed tracks reserved bytes per class, fleet-wide.
@@ -454,7 +454,7 @@ func New(cfg Config) (*Fleet, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &Fleet{cfg: cfg, q: newEventQueue(), met: obs.NewMetrics()}
+	f := &Fleet{cfg: cfg, met: obs.NewMetrics()}
 
 	// Devices.
 	for i := 0; i < cfg.Devices; i++ {

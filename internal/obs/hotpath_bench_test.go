@@ -7,30 +7,6 @@ import (
 	"capuchin/internal/sim"
 )
 
-// nullBatchSink is a no-op BatchTracer: the benchmark measures the
-// Buffered wrapper's own bookkeeping, not the sink.
-type nullBatchSink struct{}
-
-func (nullBatchSink) Emit(Event)             {}
-func (nullBatchSink) Decide(Decision)        {}
-func (nullBatchSink) EmitBatch([]Event)      {}
-func (nullBatchSink) DecideBatch([]Decision) {}
-
-// BenchmarkHotPathBufferedEmit pins the batched span-recording path:
-// appending into the reusable buffer and flushing it wholesale must be
-// allocation-free once the buffer's capacity exists.
-func BenchmarkHotPathBufferedEmit(b *testing.B) {
-	buf := NewBuffered(nullBatchSink{}, 256)
-	ev := Event{Kind: KindInstant, Cat: "alloc", Name: "hotpath"}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Emit(ev)
-	}
-	b.StopTimer()
-	buf.Flush()
-}
-
 // hotpathEvent is a transfer span as the executor emits it.
 var hotpathEvent = Event{Kind: KindSpan, Cat: "transfer", Name: "swap-in conv2_1/out",
 	Lane: "h2d", Start: 41 * sim.Microsecond, End: 97 * sim.Microsecond,

@@ -2,14 +2,14 @@ package sim
 
 import "testing"
 
-// BenchmarkHotPathPendingSet drives the pending-completion heap through
-// push/pop cycles. The heap is a plain slice with hand-rolled sifts, so
+// BenchmarkHotPathPendingSet drives the pending-completion queue through
+// push/pop cycles. The queue is a plain slice of concrete entries, so
 // once capacity is warm the cycle must be allocation-free.
 func BenchmarkHotPathPendingSet(b *testing.B) {
 	ps := &PendingSet{}
 	cycle := func() {
 		for i := 0; i < 8; i++ {
-			ps.Add(Pending{At: Time(i * 37 % 5), Size: 1 << 20, Key: "t"})
+			ps.Add(Pending{At: Time(i * 37 % 5), Key: "t"})
 		}
 		for {
 			if _, ok := ps.PopEarliest(); !ok {
@@ -33,7 +33,7 @@ func BenchmarkHotPathPendingPopDue(b *testing.B) {
 	ps := &PendingSet{}
 	cycle := func() {
 		for i := 0; i < 8; i++ {
-			ps.Add(Pending{At: Time(i), Size: 1 << 20, Key: "t"})
+			ps.Add(Pending{At: Time(i), Key: "t"})
 		}
 		ps.PopDue(Time(8))
 	}

@@ -4,61 +4,39 @@ package sim
 // a deferred memory free, an in-flight swap-out, or any other event whose
 // effect must be applied once simulated time passes At.
 type Pending struct {
-	At   Time
-	Size int64
-	Key  string // identifies the subject, e.g. a tensor ID
+	At  Time
+	Key string // identifies the subject, e.g. a tensor ID
 }
 
-// PendingSet is a min-heap of Pending items ordered by completion time. It
-// is the mechanism behind Capuchin's decoupled computation/swapping: memory
-// freed by a swap-out only becomes visible to the allocator once the
-// transfer completes, and an OOM can choose to block on the earliest
-// in-flight completion rather than on all of them.
-//
-// The heap is hand-rolled over a plain slice with the exact sift-up /
-// sift-down algorithms of container/heap, so Add and the Pop variants are
-// allocation-free in steady state while items tied on At still pop in the
-// same order the boxed container/heap implementation produced (tie order on
-// equal At is determined by heap internals, and golden traces pin it).
+// PendingSet holds pending completions in time order. It is the mechanism
+// behind Capuchin's decoupled computation/swapping: memory freed by a
+// swap-out only becomes visible to the allocator once the transfer
+// completes, and an OOM can choose to block on the earliest in-flight
+// completion rather than on all of them. Completions due at the same
+// time pop in the order they were added.
 type PendingSet struct {
-	h   []Pending
+	q   Queue[string]
 	due []Pending // reused by PopDue; contents valid until the next call
 }
 
 // Add schedules a pending completion.
-func (ps *PendingSet) Add(p Pending) {
-	ps.h = append(ps.h, p)
-	ps.up(len(ps.h) - 1)
-}
+func (ps *PendingSet) Add(p Pending) { ps.q.Push(p.At, p.Key) }
 
 // Len reports the number of pending completions.
-func (ps *PendingSet) Len() int { return len(ps.h) }
-
-// TotalSize reports the sum of Size over all pending completions.
-func (ps *PendingSet) TotalSize() int64 {
-	var total int64
-	for i := range ps.h {
-		total += ps.h[i].Size
-	}
-	return total
-}
+func (ps *PendingSet) Len() int { return ps.q.Len() }
 
 // PeekEarliest returns the earliest pending completion without removing it.
 // The boolean is false when the set is empty.
 func (ps *PendingSet) PeekEarliest() (Pending, bool) {
-	if len(ps.h) == 0 {
-		return Pending{}, false
-	}
-	return ps.h[0], true
+	at, key, ok := ps.q.Peek()
+	return Pending{At: at, Key: key}, ok
 }
 
 // PopEarliest removes and returns the earliest pending completion.
 // The boolean is false when the set is empty.
 func (ps *PendingSet) PopEarliest() (Pending, bool) {
-	if len(ps.h) == 0 {
-		return Pending{}, false
-	}
-	return ps.pop(), true
+	at, key, ok := ps.q.Pop()
+	return Pending{At: at, Key: key}, ok
 }
 
 // PopDue removes and returns all completions with At <= now, in time order.
@@ -66,61 +44,16 @@ func (ps *PendingSet) PopEarliest() (Pending, bool) {
 // next PopDue call; callers must consume it before touching the set again.
 func (ps *PendingSet) PopDue(now Time) []Pending {
 	ps.due = ps.due[:0]
-	for len(ps.h) > 0 && ps.h[0].At <= now {
-		ps.due = append(ps.due, ps.pop())
+	for {
+		at, _, ok := ps.q.Peek()
+		if !ok || at > now {
+			break
+		}
+		_, key, _ := ps.q.Pop()
+		ps.due = append(ps.due, Pending{At: at, Key: key})
 	}
 	if len(ps.due) == 0 {
 		return nil
 	}
 	return ps.due
-}
-
-// less orders only by At: ties resolve by heap position, exactly as the
-// previous container/heap-backed implementation did.
-func (ps *PendingSet) less(i, j int) bool { return ps.h[i].At < ps.h[j].At }
-
-// pop removes and returns the root, mirroring container/heap.Pop: swap the
-// root with the last element, sift it down over the shortened heap, then
-// shrink.
-func (ps *PendingSet) pop() Pending {
-	h := ps.h
-	n := len(h) - 1
-	h[0], h[n] = h[n], h[0]
-	ps.down(0, n)
-	p := h[n]
-	h[n] = Pending{}
-	ps.h = h[:n]
-	return p
-}
-
-// up is container/heap's sift-up.
-func (ps *PendingSet) up(j int) {
-	for {
-		i := (j - 1) / 2 // parent
-		if i == j || !ps.less(j, i) {
-			break
-		}
-		ps.h[i], ps.h[j] = ps.h[j], ps.h[i]
-		j = i
-	}
-}
-
-// down is container/heap's sift-down over h[:n].
-func (ps *PendingSet) down(i0, n int) {
-	i := i0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
-			break
-		}
-		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && ps.less(j2, j1) {
-			j = j2 // right child
-		}
-		if !ps.less(j, i) {
-			break
-		}
-		ps.h[i], ps.h[j] = ps.h[j], ps.h[i]
-		i = j
-	}
 }

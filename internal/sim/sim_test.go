@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -141,14 +142,11 @@ func TestStreamNegativeDurationPanics(t *testing.T) {
 
 func TestPendingSetOrdering(t *testing.T) {
 	var ps PendingSet
-	ps.Add(Pending{At: 30, Size: 3, Key: "c"})
-	ps.Add(Pending{At: 10, Size: 1, Key: "a"})
-	ps.Add(Pending{At: 20, Size: 2, Key: "b"})
+	ps.Add(Pending{At: 30, Key: "c"})
+	ps.Add(Pending{At: 10, Key: "a"})
+	ps.Add(Pending{At: 20, Key: "b"})
 	if ps.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", ps.Len())
-	}
-	if ps.TotalSize() != 6 {
-		t.Fatalf("TotalSize = %d, want 6", ps.TotalSize())
 	}
 	p, ok := ps.PeekEarliest()
 	if !ok || p.Key != "a" {
@@ -166,6 +164,43 @@ func TestPendingSetOrdering(t *testing.T) {
 	}
 	if _, ok := ps.PeekEarliest(); ok {
 		t.Fatal("PeekEarliest on empty set returned ok")
+	}
+}
+
+// Completions due at the same time pop in the order they were added,
+// through every pop path.
+func TestPendingSetTiesPopInInsertionOrder(t *testing.T) {
+	keys := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
+	fill := func() *PendingSet {
+		ps := &PendingSet{}
+		ps.Add(Pending{At: 5, Key: "early"})
+		for _, k := range keys {
+			ps.Add(Pending{At: 20, Key: k})
+		}
+		ps.Add(Pending{At: 99, Key: "late"})
+		return ps
+	}
+	want := append(append([]string{"early"}, keys...), "late")
+
+	ps := fill()
+	var got []string
+	for {
+		p, ok := ps.PopEarliest()
+		if !ok {
+			break
+		}
+		got = append(got, p.Key)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("PopEarliest order = %v, want %v", got, want)
+	}
+
+	got = got[:0]
+	for _, p := range fill().PopDue(20) {
+		got = append(got, p.Key)
+	}
+	if !reflect.DeepEqual(got, want[:len(want)-1]) {
+		t.Errorf("PopDue order = %v, want %v", got, want[:len(want)-1])
 	}
 }
 
